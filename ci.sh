@@ -20,14 +20,14 @@ cargo test -q
 echo "==> full workspace tests"
 cargo test -q --workspace
 
-echo "==> differential suites: incremental EDF timeline + phantom fast path + unified event queue + warm-pool sweep"
+echo "==> differential suites: incremental EDF timeline + phantom fast path + prune/warm-start/presolve references + simulator tie-break order + warm-pool sweep"
 cargo test -q -p rtrm-sched --test incremental
 cargo test -q -p rtrm-core --test phantom_fastpath
 cargo test -q -p rtrm-core --test prune_differential
 cargo test -q -p rtrm-core --test warmstart_differential
 cargo test -q -p rtrm-core --test presolve_differential
 cargo test -q -p rtrm-sim --test phantom_differential
-cargo test -q -p rtrm-sim --test unified_queue
+cargo test -q -p rtrm-sim --test accounting
 cargo test -q -p rtrm-bench --test sweep_differential
 
 echo "==> horizon: confidence gate properties + theta-endpoint differentials"
@@ -51,5 +51,8 @@ timeout 300 cargo test -q -p rtrm-bench --test chaos_coop
 
 echo "==> BENCH_*.json schema sanity"
 cargo test -q -p rtrm-bench --test bench_json_schema
+
+echo "==> perfbench smoke: every workload end to end, decisions checked"
+cargo test --release -q --manifest-path perfbench/Cargo.toml
 
 echo "CI OK"

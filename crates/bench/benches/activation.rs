@@ -1,14 +1,16 @@
 //! Activation-latency benches for the incremental EDF admission path: the
 //! managers' decide() with the persistent [`rtrm_sched::EdfTimeline`]
-//! against the pre-incremental memoized-engine baseline
-//! (`oracle_feasibility`), plus an end-to-end trace comparison of the
-//! unified simulator event queue against the per-resource replay. The sweep
-//! records `BENCH_activation.json` at the workspace root (see README,
+//! against the pre-incremental memoized-engine reference (the same manager
+//! deciding in a [`TimelinePool::oracle`]), plus an end-to-end trace run
+//! against the same run with oracle feasibility. The sweep records
+//! `BENCH_activation.json` at the workspace root (see README,
 //! "Performance").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use rtrm_core::{Activation, ExactRm, HeuristicRm, JobView, Placement, ResourceManager};
+use rtrm_core::{
+    Activation, Decision, ExactRm, HeuristicRm, JobView, Placement, ResourceManager, TimelinePool,
+};
 use rtrm_platform::{
     Energy, Platform, Request, RequestId, TaskCatalog, TaskType, TaskTypeId, Time, Trace,
 };
@@ -86,6 +88,42 @@ fn deep_trace(depth: usize) -> Trace {
     Trace::new(requests)
 }
 
+/// One decide in a fresh oracle pool: what `decide()` costs on the
+/// pre-incremental memoized-engine feasibility reference.
+fn oracle_decide(rm: &mut dyn ResourceManager, activation: &Activation<'_>) -> Decision {
+    rm.decide_with_pool(activation, &mut TimelinePool::oracle())
+}
+
+/// The heuristic deciding in its own oracle pool, whatever pool the
+/// simulator hands it — the end-to-end run on oracle feasibility.
+struct OracleFeasibility {
+    inner: HeuristicRm,
+    pool: TimelinePool,
+}
+
+impl OracleFeasibility {
+    /// Like the simulator's own pool, the oracle pool carries the world's
+    /// index from the start of the run.
+    fn new(platform: &Platform, catalog: &TaskCatalog) -> Self {
+        let mut pool = TimelinePool::oracle();
+        pool.ensure_index(platform, catalog);
+        OracleFeasibility {
+            inner: HeuristicRm::new(),
+            pool,
+        }
+    }
+}
+
+impl ResourceManager for OracleFeasibility {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn decide(&mut self, activation: &Activation<'_>) -> Decision {
+        self.inner.decide_with_pool(activation, &mut self.pool)
+    }
+}
+
 /// Mean ns per call over a self-calibrated iteration count (~30 ms).
 fn measure<R>(mut f: impl FnMut() -> R) -> f64 {
     let warmup = std::time::Instant::now();
@@ -121,11 +159,8 @@ fn bench_activation_latency(c: &mut Criterion) {
             b.iter(|| rm.decide(&activation));
         });
         group.bench_with_input(BenchmarkId::new("heuristic_baseline", n), &n, |b, _| {
-            let mut rm = HeuristicRm {
-                oracle_feasibility: true,
-                ..HeuristicRm::default()
-            };
-            b.iter(|| rm.decide(&activation));
+            let mut rm = HeuristicRm::new();
+            b.iter(|| oracle_decide(&mut rm, &activation));
         });
     }
     group.finish();
@@ -158,25 +193,14 @@ fn bench_activation_latency(c: &mut Criterion) {
             predicted: &[],
         };
         let incremental_ns = measure(|| HeuristicRm::new().decide(&activation));
-        let baseline_ns = measure(|| {
-            HeuristicRm {
-                oracle_feasibility: true,
-                ..HeuristicRm::default()
-            }
-            .decide(&activation)
-        });
+        let baseline_ns = measure(|| oracle_decide(&mut HeuristicRm::new(), &activation));
         push_row("heuristic_decide", depth, baseline_ns, incremental_ns);
 
         // The exact optimizer is the solver-free "MILP" series; bound the
         // branch & bound so deep queues measure per-node feasibility cost.
         let incremental_ns = measure(|| ExactRm::with_node_budget(2_000).decide(&activation));
-        let baseline_ns = measure(|| {
-            ExactRm {
-                oracle_feasibility: true,
-                ..ExactRm::with_node_budget(2_000)
-            }
-            .decide(&activation)
-        });
+        let baseline_ns =
+            measure(|| oracle_decide(&mut ExactRm::with_node_budget(2_000), &activation));
         push_row("milp_fallback_decide", depth, baseline_ns, incremental_ns);
 
         // With-phantom rows: the same decide() planning around one
@@ -195,13 +219,7 @@ fn bench_activation_latency(c: &mut Criterion) {
             ..activation
         };
         let incremental_ns = measure(|| HeuristicRm::new().decide(&activation_ph));
-        let baseline_ns = measure(|| {
-            HeuristicRm {
-                oracle_feasibility: true,
-                ..HeuristicRm::default()
-            }
-            .decide(&activation_ph)
-        });
+        let baseline_ns = measure(|| oracle_decide(&mut HeuristicRm::new(), &activation_ph));
         push_row(
             "heuristic_decide_phantom",
             depth,
@@ -210,13 +228,8 @@ fn bench_activation_latency(c: &mut Criterion) {
         );
 
         let incremental_ns = measure(|| ExactRm::with_node_budget(2_000).decide(&activation_ph));
-        let baseline_ns = measure(|| {
-            ExactRm {
-                oracle_feasibility: true,
-                ..ExactRm::with_node_budget(2_000)
-            }
-            .decide(&activation_ph)
-        });
+        let baseline_ns =
+            measure(|| oracle_decide(&mut ExactRm::with_node_budget(2_000), &activation_ph));
         push_row(
             "milp_fallback_decide_phantom",
             depth,
@@ -227,19 +240,11 @@ fn bench_activation_latency(c: &mut Criterion) {
 
     for depth in DEPTHS {
         let trace = deep_trace(depth);
-        let incremental = Simulator::new(&platform, &catalog, SimConfig::default());
-        let baseline_cfg = SimConfig {
-            unified_event_queue: false,
-            ..SimConfig::default()
-        };
-        let baseline = Simulator::new(&platform, &catalog, baseline_cfg);
-        let incremental_ns = measure(|| incremental.run(&trace, &mut HeuristicRm::new(), None));
+        let sim = Simulator::new(&platform, &catalog, SimConfig::default());
+        let incremental_ns = measure(|| sim.run(&trace, &mut HeuristicRm::new(), None));
         let baseline_ns = measure(|| {
-            let mut rm = HeuristicRm {
-                oracle_feasibility: true,
-                ..HeuristicRm::default()
-            };
-            baseline.run(&trace, &mut rm, None)
+            let mut rm = OracleFeasibility::new(&platform, &catalog);
+            sim.run(&trace, &mut rm, None)
         });
         push_row(
             "simulate_100_requests_heuristic",

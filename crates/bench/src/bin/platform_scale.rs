@@ -1,6 +1,6 @@
 //! Resource-count scaling bench for the pruned candidate path: `decide()`
-//! latency of the default [`CandidateTable`]-backed managers against the
-//! legacy rebuild-per-rung path (`unpruned_candidates`), sweeping the
+//! latency of the [`CandidateTable`]-backed managers against the legacy
+//! rebuild-per-rung path ([`rtrm_core::reference`]), sweeping the
 //! platform from the paper's handful of resources up to 512. Records
 //! `BENCH_platform.json` at the workspace root (see README, "Performance");
 //! run in release:
@@ -16,7 +16,7 @@
 //! [`CandidateTable`]: rtrm_core::CandidateTable
 
 use rtrm_core::{
-    Activation, ExactRm, HeuristicRm, JobView, Placement, ResourceManager, TimelinePool,
+    reference, Activation, ExactRm, HeuristicRm, JobView, Placement, ResourceManager, TimelinePool,
 };
 use rtrm_platform::{Energy, Platform, TaskCatalog, TaskType, TaskTypeId, Time};
 use rtrm_sched::JobKey;
@@ -146,12 +146,9 @@ fn main() {
             let mut pruned = HeuristicRm::new();
             let pruned_ns = measure(|| pruned.decide_with_pool(&activation, &mut pool));
             let mut baseline_pool = TimelinePool::new();
-            let mut baseline = HeuristicRm {
-                unpruned_candidates: true,
-                ..HeuristicRm::default()
-            };
+            let baseline = HeuristicRm::new();
             let baseline_ns =
-                measure(|| baseline.decide_with_pool(&activation, &mut baseline_pool));
+                measure(|| reference::heuristic_decide(&baseline, &activation, &mut baseline_pool));
             push_row(series, m, baseline_ns, pruned_ns);
         }
     }
@@ -175,11 +172,9 @@ fn main() {
         let mut pruned = ExactRm::with_node_budget(2_000);
         let pruned_ns = measure(|| pruned.decide_with_pool(&activation, &mut pool));
         let mut baseline_pool = TimelinePool::new();
-        let mut baseline = ExactRm {
-            unpruned_candidates: true,
-            ..ExactRm::with_node_budget(2_000)
-        };
-        let baseline_ns = measure(|| baseline.decide_with_pool(&activation, &mut baseline_pool));
+        let baseline = ExactRm::with_node_budget(2_000);
+        let baseline_ns =
+            measure(|| reference::exact_decide(&baseline, &activation, &mut baseline_pool));
         push_row("exact_decide_phantom", m, baseline_ns, pruned_ns);
     }
 

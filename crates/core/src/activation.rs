@@ -208,8 +208,9 @@ pub trait ResourceManager {
 #[derive(Debug, Clone, Default)]
 pub struct TimelinePool {
     /// When `true`, timelines run in oracle mode: every feasibility probe is
-    /// a memoized from-scratch engine run — the pre-incremental baseline,
-    /// kept callable for benchmarks and differential tests.
+    /// a memoized from-scratch engine run — the pre-incremental reference,
+    /// kept callable for benchmarks and differential tests. Fixed when the
+    /// pool is built ([`TimelinePool::oracle`]).
     oracle: bool,
     /// One timeline per resource, reset (not reallocated) per builder.
     timelines: Vec<EdfTimeline>,
@@ -258,24 +259,16 @@ impl TimelinePool {
 
     /// Creates a pool whose timelines answer every probe with the memoized
     /// from-scratch engine instead of the incremental tree. Verdicts are
-    /// identical; this exists so benchmarks can compare against the
-    /// pre-incremental baseline inside the same binary.
+    /// identical; this is the one way to run any manager on the
+    /// pre-incremental reference — hand the pool to
+    /// [`ResourceManager::decide_with_pool`] — so benchmarks and
+    /// differential tests compare against it inside the same binary.
     #[must_use]
     pub fn oracle() -> Self {
         TimelinePool {
             oracle: true,
             ..TimelinePool::default()
         }
-    }
-
-    /// Switches the pool between incremental feasibility (the default,
-    /// `false`) and the memoized from-scratch engine baseline (`true`).
-    /// Managers that accept an external pool
-    /// ([`ResourceManager::decide_with_pool`]) call this on every activation
-    /// so the pool's mode always matches the manager's own
-    /// `oracle_feasibility` flag, whichever pool it is handed.
-    pub fn set_oracle(&mut self, oracle: bool) {
-        self.oracle = oracle;
     }
 
     /// The per-resource timelines currently held by the pool (shorter than

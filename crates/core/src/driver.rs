@@ -208,6 +208,28 @@ where
     decision
 }
 
+/// [`decide_with_fallback_tracked`] for a solver whose rungs and floor plan
+/// in one mutable `state` (a [`TimelinePool`](crate::TimelinePool), a
+/// candidate table): the ladder calls them one at a time, so they take
+/// turns borrowing it instead of each needing its own copy.
+pub(crate) fn decide_with_fallback_shared<S, F, G>(
+    activation: &Activation<'_>,
+    state: &mut S,
+    mut solve: F,
+    mut floor: G,
+) -> Decision
+where
+    F: FnMut(&mut S, &Activation<'_>, usize) -> Attempt,
+    G: FnMut(&mut S, &Activation<'_>) -> Option<Plan>,
+{
+    let state = std::cell::RefCell::new(state);
+    decide_with_fallback_tracked(
+        activation,
+        |act, k| solve(&mut state.borrow_mut(), act, k),
+        |act| floor(&mut state.borrow_mut(), act),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

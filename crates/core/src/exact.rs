@@ -17,8 +17,8 @@ use std::time::{Duration, Instant};
 use rtrm_platform::{Energy, PlatformIndex, Time};
 
 use crate::activation::{Activation, Decision, PlanBuilder, ResourceManager, TimelinePool};
-use crate::cost::{candidates, Candidate};
-use crate::driver::{decide_with_fallback_tracked, Attempt, Plan};
+use crate::cost::Candidate;
+use crate::driver::{decide_with_fallback_shared, Attempt, Plan};
 use crate::heuristic::HeuristicRm;
 use crate::prune::CandidateTable;
 use crate::view::JobView;
@@ -40,22 +40,12 @@ pub struct ExactRm {
     /// [`candidates`](crate::candidates)). Enabled by default; Fig 1's
     /// scenario analysis requires it.
     pub gpu_restart_in_place: bool,
-    /// Answer every feasibility probe with a memoized from-scratch engine
-    /// run instead of the incremental timeline. Verdicts (and hence plans)
-    /// are identical; this is the pre-incremental baseline, kept for
-    /// benchmarks and differential tests.
-    pub oracle_feasibility: bool,
     /// Anytime wall-clock budget in seconds *per fallback rung*. `None`
     /// (the default) never reads the clock, so results stay bit-identical
     /// run to run. With a budget, expiry keeps the best incumbent found so
     /// far; with no incumbent the activation degrades down the fallback
     /// ladder to the paper's heuristic as a floor.
     pub wall_clock_budget: Option<f64>,
-    /// Rebuild, filter, and sort every job's candidate list per rung
-    /// instead of filtering the shared pre-sorted
-    /// [`CandidateTable`] rows. Decisions are identical; this is the
-    /// pre-pruning baseline, kept for benchmarks and differential tests.
-    pub unpruned_candidates: bool,
     /// Seed every rung's branch & bound with the heuristic's plan as a
     /// starting incumbent (enabled by default). The injected incumbent
     /// prunes with the *exact* bound — no tolerance slack — and an equally
@@ -82,9 +72,7 @@ impl Default for ExactRm {
         ExactRm {
             node_budget: 20_000_000,
             gpu_restart_in_place: true,
-            oracle_feasibility: false,
             wall_clock_budget: None,
-            unpruned_candidates: false,
             warm_start: true,
             presolve: true,
         }
@@ -140,58 +128,15 @@ impl ExactRm {
             .collect()
     }
 
-    /// The pre-pruning rung solve: rebuilds, filters, and sorts every
-    /// candidate list per rung. Kept verbatim as the differential/bench
-    /// baseline.
-    fn solve_unpruned(
-        &self,
-        activation: &Activation<'_>,
-        num_phantoms: usize,
-        pool: &mut TimelinePool,
-    ) -> Attempt {
-        let jobs: Vec<JobView> = activation
-            .jobs_with_phantoms(num_phantoms)
-            .copied()
-            .collect();
-        let n_real = activation.active.len() + 1;
-
-        // Candidate lists, filtered by the per-task deadline bound
-        // (constraint (2)) and sorted cheapest first for pruning.
-        let mut cand: Vec<Vec<Candidate>> = jobs
-            .iter()
-            .map(|j| {
-                let tleft = j.time_left(activation.now);
-                let mut cs: Vec<Candidate> = candidates(
-                    j,
-                    activation.platform,
-                    activation.catalog,
-                    self.gpu_restart_in_place,
-                )
-                .into_iter()
-                .filter(|c| c.exec <= tleft)
-                .collect();
-                cs.sort_by(|a, b| a.energy.cmp(&b.energy).then(a.resource.cmp(&b.resource)));
-                cs
-            })
-            .collect();
-        if cand.iter().any(Vec::is_empty) {
-            return Attempt::default();
-        }
-        // Branch-order keys are taken before the dominance drop so the
-        // presolved and unpresolved searches walk the same tree shape.
-        let keys = order_keys(&cand);
-        if self.presolve {
-            drop_dominated_rows(&mut cand, activation.platform.len());
-        }
-        self.branch_and_bound(activation, num_phantoms, n_real, &jobs, &cand, &keys, pool)
-    }
-
-    /// The shared search: branching order, suffix minima, DFS, and plan
-    /// extraction — identical for both candidate sources. `keys` carries the
-    /// per-job (candidate count, energy spread) branching keys, measured on
-    /// the pre-dominance rows so presolved and unpresolved runs agree.
+    /// One rung's search: branching order, suffix minima, DFS, and plan
+    /// extraction — shared by the production rows and the
+    /// [`reference`](crate::reference) rows. `keys` carries the per-job
+    /// (candidate count, energy spread) branching keys, measured on the
+    /// pre-dominance rows so presolved and unpresolved runs agree. `seed` is
+    /// the heuristic's full job-indexed chosen vector (phantom rows
+    /// included) when warm-starting.
     #[allow(clippy::too_many_arguments)]
-    fn branch_and_bound(
+    pub(crate) fn branch_and_bound(
         &self,
         activation: &Activation<'_>,
         num_phantoms: usize,
@@ -199,6 +144,7 @@ impl ExactRm {
         jobs: &[JobView],
         cand: &[Vec<Candidate>],
         keys: &[(usize, Energy)],
+        seed: Option<Vec<Candidate>>,
         pool: &mut TimelinePool,
     ) -> Attempt {
         // Branching order, pseudocost-lite: most constrained task first
@@ -226,22 +172,14 @@ impl ExactRm {
         // is re-summed in `order` position order — the same left-to-right
         // fold the DFS uses — so when the search reaches the same leaf it
         // computes the same float, and the `<=` replacement below fires.
-        let mut warm: Option<(Energy, Vec<Option<Candidate>>)> = if self.warm_start {
-            let mut warm_pool = TimelinePool::new();
-            warm_pool.set_oracle(self.oracle_feasibility);
-            HeuristicRm::new()
-                .solve_unpruned_with_chosen(activation, num_phantoms, &mut warm_pool)
-                .filter(|(_, chosen)| chosen.len() == jobs.len())
-                .map(|(_, chosen)| {
-                    let mut cost = Energy::ZERO;
-                    for &j in &order {
-                        cost += chosen[j].energy;
-                    }
-                    (cost, chosen.into_iter().map(Some).collect())
-                })
-        } else {
-            None
-        };
+        let mut warm: Option<(Energy, Vec<Option<Candidate>>)> = seed.map(|chosen| {
+            debug_assert_eq!(chosen.len(), jobs.len(), "seed covers every job");
+            let mut cost = Energy::ZERO;
+            for &j in &order {
+                cost += chosen[j].energy;
+            }
+            (cost, chosen.into_iter().map(Some).collect())
+        });
 
         // Nodes spent by a warm run that fell through to the cold rerun,
         // carried into the reported count so the extra spend is visible.
@@ -330,7 +268,7 @@ impl ExactRm {
 /// and least expensive candidate). Rows are `(energy, resource)`-sorted, so
 /// the spread is `last − first`. Measured on the pre-dominance rows so the
 /// branching order does not depend on whether presolve ran.
-fn order_keys(rows: &[Vec<Candidate>]) -> Vec<(usize, Energy)> {
+pub(crate) fn order_keys(rows: &[Vec<Candidate>]) -> Vec<(usize, Energy)> {
     rows.iter()
         .map(|row| {
             let spread = match (row.first(), row.last()) {
@@ -356,7 +294,7 @@ fn order_keys(rows: &[Vec<Candidate>]) -> Vec<(usize, Energy)> {
 /// Rows are energy-sorted ascending, so dominators precede their victims;
 /// runs of equal energy are folded into the frontier only after the whole
 /// run is judged, keeping the energy comparison strict.
-fn drop_dominated_rows(rows: &mut [Vec<Candidate>], num_resources: usize) {
+pub(crate) fn drop_dominated_rows(rows: &mut [Vec<Candidate>], num_resources: usize) {
     let mut frontier: Vec<Option<Time>> = vec![None; num_resources * 2];
     let mut dropped: Vec<bool> = Vec::new();
     for row in rows.iter_mut() {
@@ -491,30 +429,11 @@ impl ResourceManager for ExactRm {
         activation: &Activation<'_>,
         pool: &mut TimelinePool,
     ) -> Decision {
-        pool.set_oracle(self.oracle_feasibility);
-        let oracle = self.oracle_feasibility;
-        // Heuristic floor: only consulted when every branch & bound rung
-        // failed and at least one failure was a wall-clock expiry. It
-        // plans in a fresh pool because the ladder's pool is still
-        // borrowed by the rung closure; both decide paths use the same
-        // floor, so pruned and unpruned degrade identically.
-        let floor = |act: &Activation<'_>| {
-            let mut floor_pool = TimelinePool::new();
-            floor_pool.set_oracle(oracle);
-            HeuristicRm::new().solve_unpruned(act, 0, &mut floor_pool)
-        };
-        if self.unpruned_candidates {
-            return decide_with_fallback_tracked(
-                activation,
-                |act, k| self.solve_unpruned(act, k, pool),
-                floor,
-            );
-        }
         // Candidate rows built once per decide and shared across all rungs:
         // rung `k` slices the prefix of `n_real + k` deadline-filtered rows.
         let mut table = pool.take_table();
         let index = pool.take_index();
-        table.rebuild(activation, true, self.gpu_restart_in_place, index.as_ref());
+        table.rebuild(activation, self.gpu_restart_in_place, index.as_ref());
         let mut cand_all = self.rung_rows(activation, &mut table, index.as_ref());
         // Branch-order keys are taken before the dominance drop so the
         // presolved and unpresolved searches walk the same tree shape.
@@ -522,15 +441,28 @@ impl ResourceManager for ExactRm {
         if self.presolve {
             drop_dominated_rows(&mut cand_all, activation.platform.len());
         }
+        // The heuristic's own rows (no restart-in-place), shared by the
+        // warm seeds and the floor.
+        let mut heuristic_rows = CandidateTable::new();
+        heuristic_rows.rebuild(activation, false, index.as_ref());
+        let heuristic = HeuristicRm::new();
         let n_real = activation.active.len() + 1;
-        let decision = decide_with_fallback_tracked(
+        let decision = decide_with_fallback_shared(
             activation,
-            |act, k| {
+            &mut (&mut *pool, &mut heuristic_rows),
+            |(pool, rows), act, k| {
                 let n_jobs = n_real + k;
                 let cand = &cand_all[..n_jobs];
                 if cand.iter().any(Vec::is_empty) {
                     return Attempt::default();
                 }
+                let seed = if self.warm_start {
+                    heuristic
+                        .solve_with_table(act, k, rows, index.as_ref(), pool)
+                        .map(|(_, chosen)| chosen)
+                } else {
+                    None
+                };
                 self.branch_and_bound(
                     act,
                     k,
@@ -538,10 +470,17 @@ impl ResourceManager for ExactRm {
                     &table.jobs()[..n_jobs],
                     cand,
                     &keys_all[..n_jobs],
+                    seed,
                     pool,
                 )
             },
-            floor,
+            // Heuristic floor: only consulted when every branch & bound rung
+            // failed and at least one failure was a wall-clock expiry.
+            |(pool, rows), act| {
+                heuristic
+                    .solve_with_table(act, 0, rows, index.as_ref(), pool)
+                    .map(|(plan, _)| plan)
+            },
         );
         pool.restore_table(table, index);
         decision

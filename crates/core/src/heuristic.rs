@@ -17,26 +17,6 @@ use crate::driver::{decide_with_fallback, Plan};
 use crate::prune::CandidateTable;
 use crate::view::JobView;
 
-/// The penalty weight `M` that makes deadline-infeasible placements
-/// undesirable (Algorithm 1, line 6), derived from the largest candidate
-/// energy of this activation. `M = 2·max_energy + 1` guarantees that every
-/// penalized desirability (`>= M`) strictly exceeds every unpenalized one
-/// (`<= max_energy < M`), so regret comparisons across tasks are never
-/// distorted — a fixed constant would invert them as soon as per-job
-/// energies approached it.
-///
-/// This is the legacy per-rung computation; the pruned path reads the same
-/// value from [`CandidateTable::penalty_weight`]'s prefix maxima (pinned
-/// equal by `prefix_penalty_weight_matches_per_rung_flatten` below).
-pub(crate) fn penalty_weight(cand: &[Vec<Candidate>]) -> f64 {
-    let max_energy = cand
-        .iter()
-        .flatten()
-        .map(|c| c.energy.value())
-        .fold(0.0, f64::max);
-    2.0 * max_energy + 1.0
-}
-
 /// The knapsack-based mapping heuristic of Algorithm 1.
 ///
 /// # Examples
@@ -49,17 +29,6 @@ pub struct HeuristicRm {
     /// input order instead. Only useful for ablation studies; the paper's
     /// algorithm uses regret ordering.
     pub disable_regret_ordering: bool,
-    /// Answer every feasibility probe with a memoized from-scratch engine
-    /// run instead of the incremental timeline. Verdicts (and hence
-    /// decisions) are identical; this is the pre-incremental baseline, kept
-    /// for benchmarks and differential tests.
-    pub oracle_feasibility: bool,
-    /// Rebuild, re-filter, and re-sort every job's candidate list per rung
-    /// and per mapping iteration instead of scanning the shared
-    /// [`CandidateTable`]. Decisions are identical; this is the pre-pruning
-    /// baseline, kept for benchmarks and differential tests (mirroring
-    /// `oracle_feasibility`).
-    pub unpruned_candidates: bool,
 }
 
 impl HeuristicRm {
@@ -75,16 +44,24 @@ impl HeuristicRm {
     pub fn without_regret_ordering() -> Self {
         HeuristicRm {
             disable_regret_ordering: true,
-            ..HeuristicRm::default()
         }
     }
 
-    /// One rung of the pruned solve: scans the shared [`CandidateTable`]
-    /// instead of building per-rung candidate lists. Decision-identical to
-    /// [`solve_unpruned`](HeuristicRm::solve_unpruned) by construction:
-    /// per-iteration capacity filters commute with the row's stable
-    /// `(energy, resource)` sort, and the ranked scan's two-pass partition
-    /// *is* the desirability order (see `prune` module docs).
+    /// One rung of Algorithm 1 over the shared [`CandidateTable`] (built
+    /// with `gpu_restart_in_place = false`, the heuristic's candidate set).
+    /// Decision-identical to the unpruned
+    /// [`reference`](crate::reference) solve by construction: per-iteration
+    /// capacity filters commute with the row's stable `(energy, resource)`
+    /// sort, and the ranked scan's two-pass partition *is* the desirability
+    /// order (see `prune` module docs).
+    ///
+    /// Returns the plan plus the full job-indexed chosen-candidate vector —
+    /// *including* the phantom rows that [`Plan::placements`] omits. The
+    /// exact managers seed their branch & bound incumbent from it:
+    /// re-summing the chosen energies in the search's own branching order
+    /// reproduces the exact leaf cost the search would compute for this
+    /// assignment, which the bit-identity protocol of the injected
+    /// incumbent relies on.
     pub(crate) fn solve_with_table(
         &self,
         activation: &Activation<'_>,
@@ -92,7 +69,7 @@ impl HeuristicRm {
         table: &mut CandidateTable,
         index: Option<&PlatformIndex>,
         pool: &mut TimelinePool,
-    ) -> Option<Plan> {
+    ) -> Option<(Plan, Vec<Candidate>)> {
         let n_real = activation.active.len() + 1;
         let n_jobs = n_real + num_phantoms;
         let now = activation.now;
@@ -100,8 +77,11 @@ impl HeuristicRm {
         let (jobs_all, mut rows) = table.parts();
         let jobs = &jobs_all[..n_jobs];
 
-        // K̄: every resource starts with the full window as capacity (same
-        // per-rung window as the unpruned path).
+        // K̄: every resource starts with the full window as capacity. The
+        // paper's t_left is measured from the activation instant
+        // (`s_j + d_j − t`), so a future-released phantom's work counts
+        // against the span up to its absolute deadline, not just the span
+        // after its release.
         let window = jobs
             .iter()
             .map(|j| j.deadline - now)
@@ -187,149 +167,6 @@ impl HeuristicRm {
         } else {
             Vec::new()
         };
-        Some(Plan {
-            placements: jobs[..n_real]
-                .iter()
-                .zip(&chosen)
-                .map(|(j, c)| (j.key, c.expect("all jobs mapped")))
-                .collect(),
-            objective,
-            nodes: iterations,
-            start_gates,
-        })
-    }
-
-    /// The pre-pruning rung solve: rebuilds every candidate list per rung
-    /// and re-filters/sorts per mapping iteration. Kept verbatim as the
-    /// differential/bench baseline and as the ladder floor.
-    pub(crate) fn solve_unpruned(
-        &self,
-        activation: &Activation<'_>,
-        num_phantoms: usize,
-        pool: &mut TimelinePool,
-    ) -> Option<Plan> {
-        self.solve_unpruned_with_chosen(activation, num_phantoms, pool)
-            .map(|(plan, _)| plan)
-    }
-
-    /// [`solve_unpruned`](HeuristicRm::solve_unpruned) plus the full
-    /// job-indexed chosen-candidate vector — *including* the phantom rows
-    /// that [`Plan::placements`] omits. The exact managers seed their
-    /// branch & bound incumbent from it: re-summing the chosen energies in
-    /// the search's own branching order reproduces the exact leaf cost the
-    /// search would compute for this assignment, which the bit-identity
-    /// protocol of the injected incumbent relies on.
-    pub(crate) fn solve_unpruned_with_chosen(
-        &self,
-        activation: &Activation<'_>,
-        num_phantoms: usize,
-        pool: &mut TimelinePool,
-    ) -> Option<(Plan, Vec<Candidate>)> {
-        let jobs: Vec<JobView> = activation
-            .jobs_with_phantoms(num_phantoms)
-            .copied()
-            .collect();
-        let n_real = activation.active.len() + 1;
-
-        // Desirability table: one candidate per (job, resource) — the
-        // dominant "stay" option for a GPU-running job (see cost module).
-        let cand: Vec<Vec<Candidate>> = jobs
-            .iter()
-            .map(|j| candidates(j, activation.platform, activation.catalog, false))
-            .collect();
-        let big_m = penalty_weight(&cand);
-        let desirability = |job: &JobView, c: &Candidate| -> f64 {
-            let tleft = job.time_left(activation.now);
-            c.energy.value() + if c.exec > tleft { big_m } else { 0.0 }
-        };
-
-        // K̄: every resource starts with the full window as capacity. The
-        // paper's t_left is measured from the activation instant
-        // (`s_j + d_j − t`), so a future-released phantom's work counts
-        // against the span up to its absolute deadline, not just the span
-        // after its release.
-        let window = jobs
-            .iter()
-            .map(|j| j.deadline - activation.now)
-            .max()
-            .unwrap_or(Time::ZERO);
-        let mut capacity = vec![window; activation.platform.len()];
-
-        let mut plan = PlanBuilder::new(activation, pool);
-        let mut chosen: Vec<Option<Candidate>> = vec![None; jobs.len()];
-        let mut unmapped: Vec<usize> = (0..jobs.len()).collect();
-        let mut iterations: u64 = 0;
-
-        while !unmapped.is_empty() {
-            // F_j: resources whose remaining capacity admits the task. A
-            // task whose F_j is empty can never be mapped later (capacities
-            // only shrink), so the algorithm has no solution.
-            let feasible = |j: usize| -> Vec<Candidate> {
-                cand[j]
-                    .iter()
-                    .filter(|c| c.exec <= capacity[c.resource.index()])
-                    .copied()
-                    .collect()
-            };
-
-            // Select the task with the maximum regret d* (lines 8–23).
-            let mut selected: Option<(usize, Vec<Candidate>)> = None;
-            let mut best_regret = f64::NEG_INFINITY;
-            for &j in &unmapped {
-                let mut fj = feasible(j);
-                if fj.is_empty() {
-                    return None; // line 22: no solution
-                }
-                fj.sort_by(|a, b| {
-                    desirability(&jobs[j], a)
-                        .total_cmp(&desirability(&jobs[j], b))
-                        .then(a.resource.cmp(&b.resource))
-                });
-                let regret = if fj.len() == 1 {
-                    f64::INFINITY
-                } else {
-                    desirability(&jobs[j], &fj[1]) - desirability(&jobs[j], &fj[0])
-                };
-                if regret > best_regret {
-                    best_regret = regret;
-                    selected = Some((j, fj));
-                }
-                if self.disable_regret_ordering {
-                    break; // ablation: take the first unmapped task
-                }
-            }
-            let (j_star, mut options) = selected.expect("unmapped is non-empty");
-
-            // Map to the most desirable schedulable resource (lines 24–34).
-            let mut placed = false;
-            while !options.is_empty() {
-                iterations += 1;
-                let c = options.remove(0);
-                if plan.fits(&jobs[j_star], &c) {
-                    plan.place(&jobs[j_star], &c);
-                    capacity[c.resource.index()] -= c.exec;
-                    chosen[j_star] = Some(c);
-                    placed = true;
-                    break;
-                }
-            }
-            if !placed {
-                return None; // lines 31–32: no more resources
-            }
-            unmapped.retain(|&j| j != j_star);
-        }
-
-        debug_assert!(plan.all_schedulable());
-        let objective: Energy = chosen.iter().flatten().map(|c| c.energy).sum();
-        let start_gates = if num_phantoms > 0 {
-            let keys: Vec<_> = activation.predicted[..num_phantoms]
-                .iter()
-                .map(|p| p.key)
-                .collect();
-            plan.reservation_gates(&keys)
-        } else {
-            Vec::new()
-        };
         let full: Vec<Candidate> = chosen.iter().map(|c| c.expect("all jobs mapped")).collect();
         Some((
             Plan {
@@ -368,19 +205,16 @@ impl ResourceManager for HeuristicRm {
         activation: &Activation<'_>,
         pool: &mut TimelinePool,
     ) -> Decision {
-        pool.set_oracle(self.oracle_feasibility);
-        if self.unpruned_candidates {
-            return decide_with_fallback(activation, |act, k| self.solve_unpruned(act, k, pool));
-        }
         // Build the candidate table once — all rungs of the fallback ladder
         // share it (rung k reads the prefix of n_real + k rows). Table and
         // index are moved out of the pool so the rung closure can borrow the
         // pool's timelines independently.
         let mut table = pool.take_table();
         let index = pool.take_index();
-        table.rebuild(activation, true, false, index.as_ref());
+        table.rebuild(activation, false, index.as_ref());
         let decision = decide_with_fallback(activation, |act, k| {
             self.solve_with_table(act, k, &mut table, index.as_ref(), pool)
+                .map(|(plan, _)| plan)
         });
         pool.restore_table(table, index);
         decision
@@ -400,6 +234,7 @@ pub fn most_desirable_resource(job: &JobView, activation: &Activation<'_>) -> Op
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
     use crate::view::Placement;
     use rtrm_platform::{Platform, PlatformIndex, TaskCatalog, TaskType, TaskTypeId};
     use rtrm_sched::JobKey;
@@ -425,12 +260,10 @@ mod tests {
         (platform, TaskCatalog::new(vec![small, big]))
     }
 
-    /// S2 pin: the table's prefix-maximum penalty weight equals the legacy
-    /// per-rung full-table flatten for *every* rung of the ladder — with a
-    /// placed active job (owned row) and phantoms of a high-energy type that
-    /// raise the maximum only on the deeper rungs.
-    #[test]
-    fn prefix_penalty_weight_matches_per_rung_flatten() {
+    /// The multi-phantom fixture: a placed active job (owned row), a fresh
+    /// arrival, and two phantoms of a high-energy type that raise the
+    /// maximum only on the deeper rungs.
+    fn with_fixture<R>(f: impl FnOnce(&Activation<'_>) -> R) -> R {
         let (platform, catalog) = world();
         let ids: Vec<_> = platform.ids().collect();
         let mut active = JobView::fresh(JobKey(0), TaskTypeId::new(0), Time::ZERO, Time::new(25.0));
@@ -451,68 +284,115 @@ mod tests {
                 Time::new(40.0),
             ),
         ];
-        let activation = Activation {
+        f(&Activation {
             now: Time::ZERO,
             platform: &platform,
             catalog: &catalog,
             active: &active,
             arriving,
             predicted: &predicted,
-        };
-        let n_real = activation.active.len() + 1;
-
-        for (index, label) in [
-            (None, "owned rows"),
-            (
-                Some(PlatformIndex::build(&platform, &catalog)),
-                "indexed rows",
-            ),
-        ] {
-            let mut table = CandidateTable::new();
-            table.rebuild(&activation, true, false, index.as_ref());
-            for k in 0..=predicted.len() {
-                let legacy: Vec<Vec<Candidate>> = activation
-                    .jobs_with_phantoms(k)
-                    .map(|j| candidates(j, &platform, &catalog, false))
-                    .collect();
-                assert_eq!(
-                    table.penalty_weight(n_real + k),
-                    penalty_weight(&legacy),
-                    "{label}, rung with {k} phantoms"
-                );
-            }
-        }
+        })
     }
 
-    /// The pruned default and the `unpruned_candidates` baseline agree on a
-    /// multi-phantom activation (the proptest suite covers this at scale;
-    /// this is the fast in-crate smoke check).
+    /// The table with owned rows, then with rows borrowed from an index.
+    fn storage_kinds(activation: &Activation<'_>) -> [(Option<PlatformIndex>, &'static str); 2] {
+        [
+            (None, "owned rows"),
+            (
+                Some(PlatformIndex::build(
+                    activation.platform,
+                    activation.catalog,
+                )),
+                "indexed rows",
+            ),
+        ]
+    }
+
+    /// The table's prefix-maximum penalty weight equals the reference
+    /// per-rung full-table flatten for *every* rung of the ladder.
     #[test]
-    fn pruned_and_unpruned_decide_identically_here() {
-        let (platform, catalog) = world();
-        let arriving = JobView::fresh(JobKey(1), TaskTypeId::new(0), Time::ZERO, Time::new(20.0));
-        let predicted = [JobView::fresh(
-            JobKey(2),
-            TaskTypeId::new(1),
-            Time::new(4.0),
-            Time::new(30.0),
-        )];
-        let activation = Activation {
-            now: Time::ZERO,
-            platform: &platform,
-            catalog: &catalog,
-            active: &[],
-            arriving,
-            predicted: &predicted,
-        };
-        let mut pruned_rm = HeuristicRm::new();
-        let pruned = pruned_rm.decide(&activation);
-        let mut unpruned_rm = HeuristicRm {
-            unpruned_candidates: true,
-            ..HeuristicRm::default()
-        };
-        let unpruned = unpruned_rm.decide(&activation);
-        assert_eq!(pruned, unpruned);
-        assert!(pruned.admitted);
+    fn prefix_penalty_weight_matches_per_rung_flatten() {
+        with_fixture(|activation| {
+            let n_real = activation.active.len() + 1;
+            for (index, label) in storage_kinds(activation) {
+                let mut table = CandidateTable::new();
+                table.rebuild(activation, false, index.as_ref());
+                for k in 0..=activation.predicted.len() {
+                    let legacy: Vec<Vec<Candidate>> = activation
+                        .jobs_with_phantoms(k)
+                        .map(|j| candidates(j, activation.platform, activation.catalog, false))
+                        .collect();
+                    assert_eq!(
+                        table.penalty_weight(n_real + k),
+                        reference::penalty_weight(&legacy),
+                        "{label}, rung with {k} phantoms"
+                    );
+                }
+            }
+        });
+    }
+
+    /// The exact managers seed from the pruned solve's full chosen vector,
+    /// phantom rows included: on every rung, with both row storage kinds,
+    /// it equals the reference solve's — as do the plan's placements,
+    /// objective, and iteration count.
+    #[test]
+    fn pruned_chosen_vector_matches_reference_on_every_rung() {
+        with_fixture(|activation| {
+            let rm = HeuristicRm::new();
+            let mut admitted_with_phantoms = false;
+            for (index, label) in storage_kinds(activation) {
+                let mut table = CandidateTable::new();
+                table.rebuild(activation, false, index.as_ref());
+                for k in 0..=activation.predicted.len() {
+                    let pruned = rm.solve_with_table(
+                        activation,
+                        k,
+                        &mut table,
+                        index.as_ref(),
+                        &mut TimelinePool::new(),
+                    );
+                    let legacy =
+                        reference::heuristic_solve(&rm, activation, k, &mut TimelinePool::new());
+                    match (pruned, legacy) {
+                        (Some((plan, chosen)), Some((legacy_plan, legacy_chosen))) => {
+                            assert_eq!(chosen.len(), activation.active.len() + 1 + k);
+                            assert_eq!(chosen, legacy_chosen, "{label}, rung {k}");
+                            assert_eq!(
+                                plan.placements, legacy_plan.placements,
+                                "{label}, rung {k}"
+                            );
+                            assert_eq!(plan.objective, legacy_plan.objective, "{label}, rung {k}");
+                            assert_eq!(plan.nodes, legacy_plan.nodes, "{label}, rung {k}");
+                            admitted_with_phantoms |= k > 0;
+                        }
+                        (None, None) => {}
+                        (p, l) => panic!(
+                            "{label}, rung {k}: pruned {:?} vs reference {:?}",
+                            p.is_some(),
+                            l.is_some()
+                        ),
+                    }
+                }
+            }
+            assert!(admitted_with_phantoms, "fixture must plan a phantom row");
+        });
+    }
+
+    /// The pruned decide and the reference decide agree on a multi-phantom
+    /// activation (the proptest suite covers this at scale; this is the
+    /// fast in-crate smoke check).
+    #[test]
+    fn pruned_and_reference_decide_identically_here() {
+        with_fixture(|activation| {
+            let pruned = HeuristicRm::new().decide(activation);
+            let legacy = reference::heuristic_decide(
+                &HeuristicRm::new(),
+                activation,
+                &mut TimelinePool::new(),
+            );
+            assert_eq!(pruned, legacy);
+            assert!(pruned.admitted);
+        });
     }
 }

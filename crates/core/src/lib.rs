@@ -62,6 +62,7 @@ mod exact;
 mod heuristic;
 mod milp_rm;
 mod prune;
+pub mod reference;
 mod static_rm;
 mod view;
 

@@ -42,6 +42,7 @@ use crate::activation::{Activation, Decision, ResourceManager, TimelinePool};
 use crate::cost::{candidates, Candidate};
 use crate::driver::{decide_with_fallback_tracked, Attempt, Plan};
 use crate::heuristic::HeuristicRm;
+use crate::prune::CandidateTable;
 use crate::view::JobView;
 
 /// Resource manager that solves the paper's Sec 4.2 MILP with the bundled
@@ -548,13 +549,16 @@ impl ResourceManager for MilpRm {
         // Heuristic warm seeds, one per rung shape: every rung with k ≥ 1
         // phantoms encodes only the nearest one (see `solve`), so a single
         // 1-phantom seed covers them all and a 0-phantom seed covers the
-        // rest. Computed once per decide, not per rung.
+        // rest. Computed once per decide, not per rung, from one heuristic
+        // candidate table that the floor reuses.
         let n_real = real_jobs.len();
-        let seed = |kp: usize| -> Option<WarmSeed> {
-            let mut pool = TimelinePool::new();
-            HeuristicRm::new()
-                .solve_unpruned_with_chosen(activation, kp, &mut pool)
-                .filter(|(_, chosen)| chosen.len() == n_real + kp)
+        let heuristic = HeuristicRm::new();
+        let mut pool = TimelinePool::new();
+        let mut heuristic_rows = CandidateTable::new();
+        heuristic_rows.rebuild(activation, false, None);
+        let mut seed = |kp: usize| -> Option<WarmSeed> {
+            heuristic
+                .solve_with_table(activation, kp, &mut heuristic_rows, None, &mut pool)
                 .map(|(_, mut chosen)| {
                     let pred = chosen.get(n_real).copied();
                     chosen.truncate(n_real);
@@ -585,8 +589,9 @@ impl ResourceManager for MilpRm {
             // Heuristic floor: only consulted when every MILP rung failed and
             // at least one of those failures was a wall-clock expiry.
             |act| {
-                let mut pool = TimelinePool::new();
-                HeuristicRm::new().solve_unpruned(act, 0, &mut pool)
+                heuristic
+                    .solve_with_table(act, 0, &mut heuristic_rows, None, &mut pool)
+                    .map(|(plan, _)| plan)
             },
         )
     }

@@ -101,18 +101,15 @@ impl CandidateTable {
 
     /// Rebuilds the table in place for one activation.
     ///
-    /// With `sorted`, owned rows are stable-sorted by `(energy, resource)` —
-    /// the candidate order of [`HeuristicRm`](crate::HeuristicRm) and
-    /// [`ExactRm`](crate::ExactRm); without it they keep
-    /// [`candidates`](crate::candidates) emission order (the MILP encoding's
-    /// variable order). Index-backed rows are only used when `sorted` (the
-    /// index pre-sorts the same order) and the job is fresh; placed jobs
-    /// always materialize through the cost model, which is the only place
-    /// migration and abort costs exist.
+    /// Owned rows are stable-sorted by `(energy, resource)` — the candidate
+    /// order of [`HeuristicRm`](crate::HeuristicRm) and
+    /// [`ExactRm`](crate::ExactRm). Index-backed rows (pre-sorted in the
+    /// same order) are used for fresh jobs; placed jobs always materialize
+    /// through the cost model, which is the only place migration and abort
+    /// costs exist.
     pub fn rebuild(
         &mut self,
         activation: &Activation<'_>,
-        sorted: bool,
         gpu_restart_in_place: bool,
         index: Option<&PlatformIndex>,
     ) {
@@ -126,8 +123,7 @@ impl CandidateTable {
 
         let mut running_max = 0.0f64;
         for job in &self.jobs {
-            let indexed = sorted
-                && job.placement.is_none()
+            let indexed = job.placement.is_none()
                 && index.is_some_and(|ix| ix.matches(activation.platform, activation.catalog));
             let row_max = if indexed {
                 self.rows.push(RowKind::Indexed { ty: job.task_type });
@@ -148,11 +144,9 @@ impl CandidateTable {
                     &mut self.arena,
                 );
                 let row = &mut self.arena[start..];
-                if sorted {
-                    // Stable over emission order: exactly the comparator the
-                    // managers sorted per-rung lists with.
-                    row.sort_by(|a, b| a.energy.cmp(&b.energy).then(a.resource.cmp(&b.resource)));
-                }
+                // Stable over emission order: exactly the comparator the
+                // legacy per-rung lists were sorted with.
+                row.sort_by(|a, b| a.energy.cmp(&b.energy).then(a.resource.cmp(&b.resource)));
                 let len = row.len();
                 self.rows.push(RowKind::Owned { start, len });
                 self.stats.owned_rows += 1;
@@ -297,8 +291,7 @@ impl<'a> RowAccess<'a> {
 
     /// Scans job `j`'s row in the heuristic's desirability order: all
     /// deadline-feasible (`exec <= tleft`) candidates by `(energy,
-    /// resource)`, then the penalized remainder in the same order. Requires
-    /// a `sorted` table.
+    /// resource)`, then the penalized remainder in the same order.
     pub(crate) fn ranked<'s>(
         &'s mut self,
         j: usize,
@@ -482,9 +475,9 @@ mod tests {
         let index = PlatformIndex::build(&platform, &catalog);
 
         let mut owned = CandidateTable::new();
-        owned.rebuild(&act, true, false, None);
+        owned.rebuild(&act, false, None);
         let mut indexed = CandidateTable::new();
-        indexed.rebuild(&act, true, false, Some(&index));
+        indexed.rebuild(&act, false, Some(&index));
         assert_eq!(owned.stats().owned_rows, 1);
         assert_eq!(indexed.stats().indexed_rows, 1);
 
@@ -516,7 +509,7 @@ mod tests {
         );
         let act = activation(&platform, &catalog, &arriving, &[]);
         let mut table = CandidateTable::new();
-        table.rebuild(&act, true, false, None);
+        table.rebuild(&act, false, None);
         let (jobs, mut rows) = table.parts();
         let tleft = jobs[0].time_left(Time::ZERO);
         let mut scan = rows.ranked(0, tleft, None);
@@ -544,7 +537,7 @@ mod tests {
         );
         let act = activation(&platform, &catalog, &arriving, &[]);
         let mut table = CandidateTable::new();
-        table.rebuild(&act, true, false, Some(&index));
+        table.rebuild(&act, false, Some(&index));
         {
             let (_, mut rows) = table.parts();
             let mut scan = rows.ranked(0, Time::new(30.0), Some(&index));

@@ -12,7 +12,7 @@
 //!   across every rung of the fallback ladder.
 
 use rtrm_core::{
-    Activation, Candidate, ExactRm, HeuristicRm, JobView, PlanBuilder, ResourceManager,
+    Activation, Candidate, Decision, ExactRm, HeuristicRm, JobView, PlanBuilder, ResourceManager,
     TimelinePool,
 };
 use rtrm_platform::{
@@ -172,18 +172,48 @@ fn phantom_decides_stay_off_engine_on_preemptable_resources() {
     }
 
     // Sanity: the same decisions under the oracle pool (pre-incremental
-    // baseline) are bit-identical, and *do* route through the engine.
-    let mut oracle_pool = TimelinePool::oracle();
-    let mut heuristic_oracle = HeuristicRm::new();
-    heuristic_oracle.oracle_feasibility = true;
-    let oracle_decision = heuristic_oracle.decide_with_pool(&activation, &mut oracle_pool);
-    let mut pool = TimelinePool::new();
-    let incremental_decision = HeuristicRm::new().decide_with_pool(&activation, &mut pool);
+    // reference) are bit-identical, and *do* route through the engine.
+    let mut heuristic_oracle = OracleFeasibility::new(HeuristicRm::new());
+    let oracle_decision = heuristic_oracle.decide_with_pool(&activation, &mut TimelinePool::new());
+    let incremental_decision =
+        HeuristicRm::new().decide_with_pool(&activation, &mut TimelinePool::new());
     assert_eq!(oracle_decision, incremental_decision);
     assert!(
-        oracle_pool.engine_verdicts() > 0,
-        "the oracle baseline answers through the engine by construction"
+        heuristic_oracle.pool.engine_verdicts() > 0,
+        "the oracle reference answers through the engine by construction"
     );
+    let mut exact_oracle = OracleFeasibility::new(ExactRm::new());
+    assert_eq!(
+        exact_oracle.decide_with_pool(&activation, &mut TimelinePool::new()),
+        ExactRm::new().decide_with_pool(&activation, &mut TimelinePool::new())
+    );
+    assert!(exact_oracle.pool.engine_verdicts() > 0);
+}
+
+/// Decides in its own [`TimelinePool::oracle`] — the pre-incremental
+/// feasibility reference — whatever pool the caller hands it.
+struct OracleFeasibility<R> {
+    inner: R,
+    pool: TimelinePool,
+}
+
+impl<R> OracleFeasibility<R> {
+    fn new(inner: R) -> Self {
+        OracleFeasibility {
+            inner,
+            pool: TimelinePool::oracle(),
+        }
+    }
+}
+
+impl<R: ResourceManager> ResourceManager for OracleFeasibility<R> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn decide(&mut self, activation: &Activation<'_>) -> Decision {
+        self.inner.decide_with_pool(activation, &mut self.pool)
+    }
 }
 
 /// CPU-only platform: the pool-wide engine-verdict count is zero for a

@@ -1,15 +1,14 @@
 //! Differential proof that the pruned candidate path is decision-identical.
 //!
-//! `HeuristicRm` and `ExactRm` default to the shared [`CandidateTable`]
+//! `HeuristicRm` and `ExactRm` decide over the shared [`CandidateTable`]
 //! (built once per decide, index-backed when the pool carries a
-//! [`PlatformIndex`], scanned through shortlist-then-widen cursors). Setting
-//! `unpruned_candidates` routes the same manager through the legacy
-//! rebuild-per-rung path. The two must produce *identical* [`Decision`]s —
-//! admission verdict, every assignment, objective, prediction use, node
-//! counts, start gates — on random platforms up to 512 resources with mixed
-//! DVFS ladders, with and without an installed index. This mirrors PR 2's
-//! `oracle_feasibility` differential: the fast path is only allowed to be
-//! fast, never different.
+//! [`PlatformIndex`], scanned through shortlist-then-widen cursors).
+//! [`rtrm_core::reference`] keeps the legacy rebuild-per-rung path. The two
+//! must produce *identical* [`Decision`]s — admission verdict, every
+//! assignment, objective, prediction use, node counts, start gates — on
+//! random platforms up to 512 resources with mixed DVFS ladders, with and
+//! without an installed index. Node counts are part of the bar on purpose:
+//! the exact manager's count moves if its heuristic warm seed does.
 //!
 //! [`CandidateTable`]: rtrm_core::CandidateTable
 //! [`PlatformIndex`]: rtrm_platform::PlatformIndex
@@ -20,7 +19,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rtrm_core::{
-    Activation, Decision, ExactRm, HeuristicRm, JobView, Placement, ResourceManager, TimelinePool,
+    reference, Activation, Decision, ExactRm, HeuristicRm, JobView, Placement, ResourceManager,
+    TimelinePool,
 };
 use rtrm_platform::{Energy, Platform, TaskCatalog, TaskType, TaskTypeId, Time};
 use rtrm_sched::JobKey;
@@ -175,21 +175,21 @@ fn build(
     (platform, catalog, active, arriving, predicted)
 }
 
-/// Decides `activation` three ways with `pruned`/`unpruned` (the same
-/// manager type, flag flipped): legacy path, pruned path on a plain pool,
-/// and pruned path on an `ensure_index`'d pool. Returns the three decisions
-/// plus whether the indexed pool actually borrowed index rows.
+/// Decides `activation` three ways: the reference path, the production
+/// path on a plain pool, and the production path on an `ensure_index`'d
+/// pool. Returns the three decisions plus whether the indexed pool actually
+/// borrowed index rows.
 fn decide_three_ways<M: ResourceManager>(
     activation: &Activation<'_>,
-    pruned: &mut M,
-    unpruned: &mut M,
+    manager: &mut M,
+    reference: impl FnOnce(&Activation<'_>, &mut TimelinePool) -> Decision,
 ) -> (Decision, Decision, Decision, bool) {
-    let legacy = unpruned.decide(activation);
+    let legacy = reference(activation, &mut TimelinePool::new());
     let mut plain_pool = TimelinePool::new();
-    let plain = pruned.decide_with_pool(activation, &mut plain_pool);
+    let plain = manager.decide_with_pool(activation, &mut plain_pool);
     let mut indexed_pool = TimelinePool::new();
     indexed_pool.ensure_index(activation.platform, activation.catalog);
-    let indexed = pruned.decide_with_pool(activation, &mut indexed_pool);
+    let indexed = manager.decide_with_pool(activation, &mut indexed_pool);
     let borrowed = indexed_pool.prune_stats().indexed_rows > 0;
     (legacy, plain, indexed, borrowed)
 }
@@ -198,10 +198,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// The heuristic's pruned path (with and without an installed index)
-    /// matches the legacy rebuild-per-rung path decision-for-decision, up
-    /// to 512 resources.
+    /// matches the reference rebuild-per-rung path decision-for-decision,
+    /// up to 512 resources.
     #[test]
-    fn heuristic_pruned_matches_unpruned(s in scenario(512, 6)) {
+    fn heuristic_pruned_matches_reference(s in scenario(512, 6)) {
         let (platform, catalog, active, arriving, predicted) = build(&s);
         let phantoms: Vec<_> = predicted.into_iter().collect();
         let activation = Activation {
@@ -212,11 +212,10 @@ proptest! {
             arriving,
             predicted: &phantoms,
         };
-        let mut pruned = HeuristicRm::new();
-        let mut unpruned = HeuristicRm::new();
-        unpruned.unpruned_candidates = true;
         let (legacy, plain, indexed, borrowed) =
-            decide_three_ways(&activation, &mut pruned, &mut unpruned);
+            decide_three_ways(&activation, &mut HeuristicRm::new(), |act, pool| {
+                reference::heuristic_decide(&HeuristicRm::new(), act, pool)
+            });
         prop_assert_eq!(&plain, &legacy, "pruned (no index) diverged");
         prop_assert_eq!(&indexed, &legacy, "pruned (indexed) diverged");
         // The arriving job is always fresh, so the indexed pool must have
@@ -224,10 +223,11 @@ proptest! {
         prop_assert!(borrowed, "indexed pool never borrowed an index row");
     }
 
-    /// The exact manager's pruned path matches its legacy path on platforms
-    /// small enough for branch & bound.
+    /// The exact manager's pruned path — rows, warm seed, and floor —
+    /// matches the reference path on platforms small enough for branch &
+    /// bound.
     #[test]
-    fn exact_pruned_matches_unpruned(s in scenario(6, 4)) {
+    fn exact_pruned_matches_reference(s in scenario(6, 4)) {
         let (platform, catalog, active, arriving, predicted) = build(&s);
         let phantoms: Vec<_> = predicted.into_iter().collect();
         let activation = Activation {
@@ -238,11 +238,10 @@ proptest! {
             arriving,
             predicted: &phantoms,
         };
-        let mut pruned = ExactRm::new();
-        let mut unpruned = ExactRm::new();
-        unpruned.unpruned_candidates = true;
         let (legacy, plain, indexed, _) =
-            decide_three_ways(&activation, &mut pruned, &mut unpruned);
+            decide_three_ways(&activation, &mut ExactRm::new(), |act, pool| {
+                reference::exact_decide(&ExactRm::new(), act, pool)
+            });
         prop_assert_eq!(&plain, &legacy, "pruned (no index) diverged");
         prop_assert_eq!(&indexed, &legacy, "pruned (indexed) diverged");
     }
@@ -252,7 +251,7 @@ proptest! {
 /// whose eight cheapest profiles (the whole default shortlist) are too slow
 /// for the deadline: the ranked scan must continue past the shortlist
 /// prefix, count one widening, and still admit on the only feasible CPU,
-/// identically to the unpruned manager.
+/// identically to the reference path.
 #[test]
 fn widening_fires_and_preserves_the_decision() {
     let mut builder = Platform::builder();
@@ -280,9 +279,8 @@ fn widening_fires_and_preserves_the_decision() {
         predicted: &[],
     };
 
-    let mut unpruned = HeuristicRm::new();
-    unpruned.unpruned_candidates = true;
-    let legacy = unpruned.decide(&activation);
+    let legacy =
+        reference::heuristic_decide(&HeuristicRm::new(), &activation, &mut TimelinePool::new());
 
     let mut pool = TimelinePool::new();
     pool.ensure_index(&platform, &catalog);

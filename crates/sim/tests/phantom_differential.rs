@@ -3,14 +3,14 @@
 //! future-released phantom) must produce **bit-identical**
 //! [`rtrm_sim::SimReport`]s whether feasibility probes are answered by the
 //! incremental timelines (the segmented demand-criterion sweep on
-//! preemptable resources) or by the pre-incremental memoized engine baseline
-//! (`oracle_feasibility`). Admissions, placements, energies, gates — all of
-//! it must compare equal, under both managers, on platforms with and without
-//! a GPU.
+//! preemptable resources) or by the pre-incremental memoized engine
+//! reference (a manager deciding in its own [`TimelinePool::oracle`]).
+//! Admissions, placements, energies, gates — all of it must compare equal,
+//! under both managers, on platforms with and without a GPU.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
-use rtrm_core::{ExactRm, HeuristicRm, ResourceManager};
+use rtrm_core::{Activation, Decision, ExactRm, HeuristicRm, ResourceManager, TimelinePool};
 use rtrm_platform::{Platform, TaskCatalog, Trace};
 use rtrm_predict::OraclePredictor;
 use rtrm_sim::{SimConfig, Simulator};
@@ -34,6 +34,33 @@ fn world(seed: u64, cpu_only: bool) -> (Platform, TaskCatalog, Vec<Trace>) {
     (platform, catalog, traces)
 }
 
+/// Decides in its own [`TimelinePool::oracle`] instead of the pool the
+/// simulator hands it: every feasibility probe becomes a memoized
+/// from-scratch engine run.
+struct OracleFeasibility<R> {
+    inner: R,
+    pool: TimelinePool,
+}
+
+impl<R: ResourceManager> ResourceManager for OracleFeasibility<R> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn decide(&mut self, activation: &Activation<'_>) -> Decision {
+        self.pool
+            .ensure_index(activation.platform, activation.catalog);
+        self.inner.decide_with_pool(activation, &mut self.pool)
+    }
+}
+
+fn oracle<R>(inner: R) -> OracleFeasibility<R> {
+    OracleFeasibility {
+        inner,
+        pool: TimelinePool::oracle(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -54,16 +81,16 @@ proptest! {
             },
         );
         for trace in &traces {
-            let run = |oracle_feasibility: bool| {
-                let mut heur = HeuristicRm::new();
-                heur.oracle_feasibility = oracle_feasibility;
-                let mut ex = ExactRm::new();
-                ex.oracle_feasibility = oracle_feasibility;
-                let rm: &mut dyn ResourceManager = if exact { &mut ex } else { &mut heur };
-                let mut oracle = OraclePredictor::perfect(trace, catalog.len());
-                sim.run(trace, rm, Some(&mut oracle))
+            let run = |rm: &mut dyn ResourceManager| {
+                let mut predictor = OraclePredictor::perfect(trace, catalog.len());
+                sim.run(trace, rm, Some(&mut predictor))
             };
-            prop_assert_eq!(run(false), run(true));
+            let (incremental, reference) = if exact {
+                (run(&mut ExactRm::new()), run(&mut oracle(ExactRm::new())))
+            } else {
+                (run(&mut HeuristicRm::new()), run(&mut oracle(HeuristicRm::new())))
+            };
+            prop_assert_eq!(incremental, reference);
         }
     }
 }
