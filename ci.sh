@@ -24,6 +24,7 @@ echo "==> differential suites: incremental EDF timeline + phantom fast path + pr
 cargo test -q -p rtrm-sched --test incremental
 cargo test -q -p rtrm-core --test phantom_fastpath
 cargo test -q -p rtrm-core --test prune_differential
+PROPTEST_CASES=400 cargo test --release -q -p rtrm-core --test prune_differential
 cargo test -q -p rtrm-core --test warmstart_differential
 cargo test -q -p rtrm-core --test presolve_differential
 cargo test -q -p rtrm-sim --test phantom_differential

@@ -20,7 +20,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use rtrm_platform::{Energy, Platform, ResourceId, TaskCatalog, Time};
+use rtrm_platform::{Energy, Platform, RankedPlacement, ResourceId, TaskCatalog, TaskType, Time};
 
 use crate::view::JobView;
 
@@ -78,115 +78,171 @@ pub fn candidates_into(
     gpu_restart_in_place: bool,
     out: &mut Vec<Candidate>,
 ) {
-    let ty = catalog.task_type(job.task_type);
-
     for resource in platform.ids() {
-        let Some(profile) = ty.profile(resource) else {
-            continue; // not executable there (the paper's "dummy values")
-        };
-        // Effective profile at a DVFS level: time 1/s, dynamic energy s².
-        let levels = platform.resource(resource).speed_levels();
-        let eff = |s: f64| (profile.wcet / s, profile.energy * (s * s));
+        candidates_on(
+            job,
+            platform,
+            catalog,
+            resource,
+            gpu_restart_in_place,
+            |c| out.push(c),
+        );
+    }
+}
 
-        match job.placement {
-            // Fresh (or admitted but never run): no state, free re-mapping;
-            // every speed level of every executable resource is open.
-            None => {
+/// The candidates of `job` on one `resource`, passed to `emit` in the order
+/// [`candidates`] lists them — a lookup of one placement costs O(speed
+/// levels) instead of a whole-platform enumeration.
+pub fn candidates_on(
+    job: &JobView,
+    platform: &Platform,
+    catalog: &TaskCatalog,
+    resource: ResourceId,
+    gpu_restart_in_place: bool,
+    emit: impl FnMut(Candidate),
+) {
+    let ty = catalog.task_type(job.task_type);
+    let levels = platform.resource(resource).speed_levels();
+    destination(
+        job,
+        ty,
+        platform,
+        resource,
+        levels,
+        gpu_restart_in_place,
+        emit,
+    );
+}
+
+/// Appends `job`'s candidates to `out` in *ranked* emission order: the
+/// current resource's candidates first, then one candidate per remaining
+/// entry of `row` — the job type's [`PlatformIndex`](rtrm_platform::PlatformIndex)
+/// row, already sorted by `(energy, resource)` with ascending speed inside
+/// a resource.
+///
+/// The multiset equals [`candidates_into`]'s, through the same
+/// per-destination case analysis. After the stable `(energy, resource)` sort
+/// the two rows are identical: only candidates on one resource with equal
+/// energy compare equal, and both emission orders list a resource's
+/// candidates stay-first, then by ascending speed (`DESIGN.md` §8). Because
+/// a destination's cost is monotone in the fresh energy, the ranked row is
+/// nearly sorted already, so the sort runs in about linear time.
+pub(crate) fn ranked_candidates_into(
+    job: &JobView,
+    platform: &Platform,
+    catalog: &TaskCatalog,
+    row: &[RankedPlacement],
+    gpu_restart_in_place: bool,
+    out: &mut Vec<Candidate>,
+) {
+    let stay = job.placement.map(|p| p.resource);
+    if let Some(resource) = stay {
+        candidates_on(
+            job,
+            platform,
+            catalog,
+            resource,
+            gpu_restart_in_place,
+            |c| out.push(c),
+        );
+    }
+    let ty = catalog.task_type(job.task_type);
+    for entry in row.iter().filter(|e| Some(e.resource) != stay) {
+        destination(
+            job,
+            ty,
+            platform,
+            entry.resource,
+            std::slice::from_ref(&entry.speed),
+            gpu_restart_in_place,
+            |c| out.push(c),
+        );
+    }
+}
+
+/// The cost model's one case analysis: the candidates of placing `job` on
+/// `resource`, offering `levels` wherever the placement opens the speed
+/// choice (staying keeps the placement's speed). Passed to `emit` stay
+/// first, then in `levels` order.
+fn destination(
+    job: &JobView,
+    ty: &TaskType,
+    platform: &Platform,
+    resource: ResourceId,
+    levels: &[f64],
+    gpu_restart_in_place: bool,
+    mut emit: impl FnMut(Candidate),
+) {
+    let Some(profile) = ty.profile(resource) else {
+        return; // not executable there (the paper's "dummy values")
+    };
+    // Effective profile at a DVFS level: time 1/s, dynamic energy s².
+    let eff = |s: f64| (profile.wcet / s, profile.energy * (s * s));
+
+    match job.placement {
+        // Fresh (or admitted but never run): no state, free re-mapping;
+        // every speed level of every executable resource is open.
+        None => {
+            for &s in levels {
+                let (wcet, energy) = eff(s);
+                emit(Candidate {
+                    resource,
+                    exec: wcet,
+                    energy,
+                    pinned: false,
+                    restart: false,
+                    speed: s,
+                });
+            }
+        }
+        // Admitted but never run: no execution state, but relocating it
+        // still pays the migration overhead (its inputs were staged on
+        // `p.resource`). Staying keeps any pending relocation debt,
+        // which `remaining_fraction` already reflects, and the speed
+        // chosen at placement; relocation re-opens the speed choice.
+        Some(p) if !p.started => {
+            if p.resource == resource {
+                let (wcet, energy) = eff(p.speed);
+                emit(Candidate {
+                    resource,
+                    exec: wcet * p.remaining_fraction,
+                    energy,
+                    pinned: false,
+                    restart: false,
+                    speed: p.speed,
+                });
+            } else {
+                let m = ty.migration(p.resource, resource);
                 for &s in levels {
                     let (wcet, energy) = eff(s);
-                    out.push(Candidate {
+                    emit(Candidate {
                         resource,
-                        exec: wcet,
-                        energy,
+                        exec: wcet + m.time,
+                        energy: energy + m.energy,
                         pinned: false,
                         restart: false,
                         speed: s,
                     });
                 }
             }
-            // Admitted but never run: no execution state, but relocating it
-            // still pays the migration overhead (its inputs were staged on
-            // `p.resource`). Staying keeps any pending relocation debt,
-            // which `remaining_fraction` already reflects, and the speed
-            // chosen at placement; relocation re-opens the speed choice.
-            Some(p) if !p.started => {
-                if p.resource == resource {
-                    let (wcet, energy) = eff(p.speed);
-                    out.push(Candidate {
-                        resource,
-                        exec: wcet * p.remaining_fraction,
-                        energy,
-                        pinned: false,
-                        restart: false,
-                        speed: p.speed,
-                    });
-                } else {
-                    let m = ty.migration(p.resource, resource);
+        }
+        Some(p) => {
+            let from_kind = platform.resource(p.resource).kind();
+            if p.resource == resource {
+                // Stay where it is: remaining work at the running speed.
+                let (wcet, energy) = eff(p.speed);
+                emit(Candidate {
+                    resource,
+                    exec: wcet * p.remaining_fraction,
+                    energy: energy * p.remaining_fraction,
+                    pinned: !from_kind.is_preemptable(),
+                    restart: false,
+                    speed: p.speed,
+                });
+                if gpu_restart_in_place && !from_kind.is_preemptable() {
                     for &s in levels {
                         let (wcet, energy) = eff(s);
-                        out.push(Candidate {
-                            resource,
-                            exec: wcet + m.time,
-                            energy: energy + m.energy,
-                            pinned: false,
-                            restart: false,
-                            speed: s,
-                        });
-                    }
-                }
-            }
-            Some(p) => {
-                let from_kind = platform.resource(p.resource).kind();
-                if p.resource == resource {
-                    // Stay where it is: remaining work at the running speed.
-                    let (wcet, energy) = eff(p.speed);
-                    out.push(Candidate {
-                        resource,
-                        exec: wcet * p.remaining_fraction,
-                        energy: energy * p.remaining_fraction,
-                        pinned: !from_kind.is_preemptable(),
-                        restart: false,
-                        speed: p.speed,
-                    });
-                    if gpu_restart_in_place && !from_kind.is_preemptable() {
-                        for &s in levels {
-                            let (wcet, energy) = eff(s);
-                            out.push(Candidate {
-                                resource,
-                                exec: wcet,
-                                energy,
-                                pinned: false,
-                                restart: true,
-                                speed: s,
-                            });
-                        }
-                    }
-                } else if from_kind.is_preemptable() {
-                    // A non-preemptable destination cannot resume
-                    // checkpointed state: started tasks may only migrate
-                    // between preemptable resources (DESIGN.md §5).
-                    if !platform.resource(resource).kind().is_preemptable() {
-                        continue;
-                    }
-                    // Proportional migration with overhead; the destination
-                    // speed is a fresh choice.
-                    let m = ty.migration(p.resource, resource);
-                    for &s in levels {
-                        let (wcet, energy) = eff(s);
-                        out.push(Candidate {
-                            resource,
-                            exec: wcet * p.remaining_fraction + m.time,
-                            energy: energy * p.remaining_fraction + m.energy,
-                            pinned: false,
-                            restart: false,
-                            speed: s,
-                        });
-                    }
-                } else {
-                    // Abort the GPU run, restart from scratch elsewhere.
-                    for &s in levels {
-                        let (wcet, energy) = eff(s);
-                        out.push(Candidate {
+                        emit(Candidate {
                             resource,
                             exec: wcet,
                             energy,
@@ -195,6 +251,40 @@ pub fn candidates_into(
                             speed: s,
                         });
                     }
+                }
+            } else if from_kind.is_preemptable() {
+                // A non-preemptable destination cannot resume
+                // checkpointed state: started tasks may only migrate
+                // between preemptable resources (DESIGN.md §5).
+                if !platform.resource(resource).kind().is_preemptable() {
+                    return;
+                }
+                // Proportional migration with overhead; the destination
+                // speed is a fresh choice.
+                let m = ty.migration(p.resource, resource);
+                for &s in levels {
+                    let (wcet, energy) = eff(s);
+                    emit(Candidate {
+                        resource,
+                        exec: wcet * p.remaining_fraction + m.time,
+                        energy: energy * p.remaining_fraction + m.energy,
+                        pinned: false,
+                        restart: false,
+                        speed: s,
+                    });
+                }
+            } else {
+                // Abort the GPU run, restart from scratch elsewhere.
+                for &s in levels {
+                    let (wcet, energy) = eff(s);
+                    emit(Candidate {
+                        resource,
+                        exec: wcet,
+                        energy,
+                        pinned: false,
+                        restart: true,
+                        speed: s,
+                    });
                 }
             }
         }
@@ -355,6 +445,133 @@ mod tests {
             Energy::new(7.3),
             "debt carries no extra energy"
         );
+    }
+
+    /// DVFS ladders, two GPUs, a profile on `c1` whose scaled energy is 0
+    /// at its two sub-nominal levels (the smallest subnormal underflows, so
+    /// those levels tie), an energy tie across resources (`c0`@1.0 and
+    /// `c2`), and per-pair migration overheads that reorder destinations
+    /// away from the fresh energy order.
+    fn ranked_world() -> (Platform, TaskCatalog) {
+        let mut b = Platform::builder();
+        b.cpu_with_dvfs("c0", &[0.5, 1.0, 2.0])
+            .cpu_with_dvfs("c1", &[0.25, 0.5, 1.0])
+            .cpu("c2")
+            .cpu_with_dvfs("c3", &[0.5, 1.0])
+            .gpu("g0")
+            .gpu("g1");
+        let platform = b.build();
+        let ids: Vec<_> = platform.ids().collect();
+        let mut ty = TaskType::builder(0, &platform);
+        let profiles = [
+            (8.0, 4.0),
+            (6.0, f64::from_bits(1)),
+            (7.0, 4.0),
+            (9.0, 1.0),
+            (5.0, 2.0),
+            (4.0, 2.0),
+        ];
+        for (&r, &(wcet, energy)) in ids.iter().zip(&profiles) {
+            ty.profile(r, Time::new(wcet), Energy::new(energy));
+        }
+        for (i, &from) in ids.iter().enumerate() {
+            for (k, &to) in ids.iter().enumerate() {
+                if from != to {
+                    let time = 0.5 + ((i * 7 + k * 3) % 5) as f64;
+                    let energy = ((i * 5 + k * 11) % 7) as f64 * 0.75;
+                    ty.migration(from, to, Time::new(time), Energy::new(energy));
+                }
+            }
+        }
+        (platform, TaskCatalog::new(vec![ty.build()]))
+    }
+
+    /// Ranked emission (walking the index row) and platform-order emission
+    /// give the same row once stable-sorted by `(energy, resource)`, for
+    /// every placement kind, speed and `gpu_restart_in_place` setting.
+    #[test]
+    fn ranked_emission_sorts_to_the_platform_order_row() {
+        let (platform, catalog) = ranked_world();
+        let index = rtrm_platform::PlatformIndex::build(&platform, &catalog);
+        let row = index.row(TaskTypeId::new(0));
+        let sort = |v: &mut Vec<Candidate>| {
+            v.sort_by(|a, b| a.energy.cmp(&b.energy).then(a.resource.cmp(&b.resource)));
+        };
+        let mut placements = vec![None];
+        for r in platform.ids() {
+            for &speed in platform.resource(r).speed_levels() {
+                // Unstarted (plain, then with relocation debt), started.
+                for (started, remaining_fraction) in
+                    [(false, 1.0), (false, 1.375), (true, 0.4), (true, 1.0)]
+                {
+                    placements.push(Some(Placement {
+                        resource: r,
+                        remaining_fraction,
+                        started,
+                        speed,
+                    }));
+                }
+            }
+        }
+        let mut ties_within_a_resource = 0;
+        for placement in placements {
+            for restart_in_place in [false, true] {
+                let mut job =
+                    JobView::fresh(JobKey(0), TaskTypeId::new(0), Time::ZERO, Time::new(20.0));
+                job.placement = placement;
+                let mut platform_order = Vec::new();
+                candidates_into(
+                    &job,
+                    &platform,
+                    &catalog,
+                    restart_in_place,
+                    &mut platform_order,
+                );
+                let mut ranked = Vec::new();
+                ranked_candidates_into(
+                    &job,
+                    &platform,
+                    &catalog,
+                    row,
+                    restart_in_place,
+                    &mut ranked,
+                );
+                sort(&mut platform_order);
+                sort(&mut ranked);
+                assert_eq!(
+                    ranked, platform_order,
+                    "{placement:?}, restart {restart_in_place}"
+                );
+                ties_within_a_resource += ranked
+                    .windows(2)
+                    .filter(|w| w[0].resource == w[1].resource && w[0].energy == w[1].energy)
+                    .count();
+            }
+        }
+        assert!(
+            ties_within_a_resource > 0,
+            "world must produce equal elements"
+        );
+    }
+
+    /// One resource's candidates, in the order the full enumeration lists
+    /// them.
+    #[test]
+    fn candidates_on_is_the_full_list_restricted_to_one_resource() {
+        let (platform, catalog) = ranked_world();
+        let mut job = JobView::fresh(JobKey(0), TaskTypeId::new(0), Time::ZERO, Time::new(20.0));
+        job.placement = Some(Placement::new(r(4), 0.5, true));
+        let all = candidates(&job, &platform, &catalog, true);
+        for resource in platform.ids() {
+            let mut one = Vec::new();
+            candidates_on(&job, &platform, &catalog, resource, true, |c| one.push(c));
+            let expected: Vec<Candidate> = all
+                .iter()
+                .copied()
+                .filter(|c| c.resource == resource)
+                .collect();
+            assert_eq!(one, expected, "resource {resource}");
+        }
     }
 
     #[test]

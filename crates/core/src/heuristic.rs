@@ -14,7 +14,7 @@ use rtrm_platform::{Energy, PlatformIndex, ResourceId, Time};
 use crate::activation::{Activation, Decision, PlanBuilder, ResourceManager, TimelinePool};
 use crate::cost::{candidates, Candidate};
 use crate::driver::{decide_with_fallback, Plan};
-use crate::prune::CandidateTable;
+use crate::prune::{CandidateTable, RowAccess};
 use crate::view::JobView;
 
 /// The knapsack-based mapping heuristic of Algorithm 1.
@@ -94,6 +94,12 @@ impl HeuristicRm {
         let mut unmapped: Vec<usize> = (0..n_jobs).collect();
         let mut iterations: u64 = 0;
 
+        // Each unmapped job's first two capacity-feasible scan hits, kept
+        // for the rung. Capacities only shrink within a rung, so hits that
+        // still fit are still the scan's first two: a job is rescanned only
+        // when one of its cached hits has lost its capacity.
+        let mut hits: Vec<Option<RegretHits>> = vec![None; n_jobs];
+
         while !unmapped.is_empty() {
             // Select the task with the maximum regret d* (lines 8–23):
             // regret needs only the best and second-best capacity-feasible
@@ -101,26 +107,21 @@ impl HeuristicRm {
             let mut selected: Option<usize> = None;
             let mut best_regret = f64::NEG_INFINITY;
             for &j in &unmapped {
-                let tleft = jobs[j].time_left(now);
-                let mut scan = rows.ranked(j, tleft, index);
-                let mut first: Option<f64> = None;
-                let mut second: Option<f64> = None;
-                while let Some((c, penalized)) = scan.next() {
-                    if c.exec > capacity[c.resource.index()] {
-                        continue;
+                let cached = hits[j].filter(|h| h.fit(&capacity));
+                let RegretHits { first, second } = match cached {
+                    Some(h) => h,
+                    None => {
+                        let tleft = jobs[j].time_left(now);
+                        let Some(h) =
+                            RegretHits::scan(&mut rows, j, tleft, index, &capacity, big_m)
+                        else {
+                            return None; // line 22: F_j empty, no solution
+                        };
+                        hits[j] = Some(h);
+                        h
                     }
-                    let des = c.energy.value() + if penalized { big_m } else { 0.0 };
-                    if first.is_none() {
-                        first = Some(des);
-                    } else {
-                        second = Some(des);
-                        break;
-                    }
-                }
-                let Some(d0) = first else {
-                    return None; // line 22: F_j empty, no solution
                 };
-                let regret = second.map_or(f64::INFINITY, |d1| d1 - d0);
+                let regret = second.map_or(f64::INFINITY, |h| h.desirability - first.desirability);
                 if regret > best_regret {
                     best_regret = regret;
                     selected = Some(j);
@@ -181,6 +182,69 @@ impl HeuristicRm {
             },
             full,
         ))
+    }
+}
+
+/// One capacity-feasible hit of a ranked regret scan.
+#[derive(Debug, Clone, Copy)]
+struct Hit {
+    resource: usize,
+    exec: Time,
+    desirability: f64,
+}
+
+/// A job's first two capacity-feasible ranked hits (`second` is `None` when
+/// the scan ran out after one).
+#[derive(Debug, Clone, Copy)]
+struct RegretHits {
+    first: Hit,
+    second: Option<Hit>,
+}
+
+impl RegretHits {
+    /// Scans job `j`'s ranked row for its first two capacity-feasible
+    /// hits; `None` when no candidate fits.
+    fn scan(
+        rows: &mut RowAccess<'_>,
+        j: usize,
+        tleft: Time,
+        index: Option<&PlatformIndex>,
+        capacity: &[Time],
+        big_m: f64,
+    ) -> Option<Self> {
+        let mut scan = rows.ranked(j, tleft, index);
+        let mut first: Option<Hit> = None;
+        while let Some((c, penalized)) = scan.next() {
+            if c.exec > capacity[c.resource.index()] {
+                continue;
+            }
+            let hit = Hit {
+                resource: c.resource.index(),
+                exec: c.exec,
+                desirability: c.energy.value() + if penalized { big_m } else { 0.0 },
+            };
+            match first {
+                None => first = Some(hit),
+                Some(first) => {
+                    return Some(RegretHits {
+                        first,
+                        second: Some(hit),
+                    })
+                }
+            }
+        }
+        first.map(|first| RegretHits {
+            first,
+            second: None,
+        })
+    }
+
+    /// `true` while every cached hit still fits its resource's capacity —
+    /// the negation of the scan's skip test (`Time` is totally ordered), so
+    /// the cache is valid exactly when a rescan would find the same hits.
+    fn fit(&self, capacity: &[Time]) -> bool {
+        let fits = |h: &Hit| h.exec <= capacity[h.resource];
+        fits(&self.first) && self.second.as_ref().is_none_or(fits)
     }
 }
 
@@ -377,6 +441,69 @@ mod tests {
             }
             assert!(admitted_with_phantoms, "fixture must plan a phantom row");
         });
+    }
+
+    /// Three jobs on three CPUs, one window of 10. Regrets: X 1 (c0 1 J,
+    /// c1 2 J), Y 8 (c0 1 J, c1 9 J), Z 5 (c1 1 J, c2 6 J). Y maps to c0
+    /// first, which leaves c0 too little capacity for X's cached best hit:
+    /// X's rescan gives regret 8, so X beats Z to c1 and Z lands on c2. A
+    /// stale X regret (1) would let Z take c1 and push X to c2.
+    #[test]
+    fn cached_regret_hit_that_loses_capacity_is_rescanned() {
+        let platform = Platform::builder().cpus(3).build();
+        let ids: Vec<_> = platform.ids().collect();
+        let ty = |index: usize, exec: f64, energies: [f64; 3]| {
+            let mut b = TaskType::builder(index, &platform);
+            for (&r, e) in ids.iter().zip(energies) {
+                b.profile(r, Time::new(exec), Energy::new(e));
+            }
+            b.build()
+        };
+        let catalog = TaskCatalog::new(vec![
+            ty(0, 6.0, [1.0, 2.0, 10.0]),
+            ty(1, 6.0, [1.0, 9.0, 9.5]),
+            ty(2, 5.0, [9.0, 1.0, 6.0]),
+        ]);
+        let job = |key: u64, ty: usize| {
+            JobView::fresh(
+                JobKey(key),
+                TaskTypeId::new(ty),
+                Time::ZERO,
+                Time::new(10.0),
+            )
+        };
+        let active = [job(0, 0), job(1, 1)];
+        let activation = Activation {
+            now: Time::ZERO,
+            platform: &platform,
+            catalog: &catalog,
+            active: &active,
+            arriving: job(2, 2),
+            predicted: &[],
+        };
+        let rm = HeuristicRm::new();
+        for (index, label) in storage_kinds(&activation) {
+            let mut table = CandidateTable::new();
+            table.rebuild(&activation, false, index.as_ref());
+            let (plan, chosen) = rm
+                .solve_with_table(
+                    &activation,
+                    0,
+                    &mut table,
+                    index.as_ref(),
+                    &mut TimelinePool::new(),
+                )
+                .expect("fixture admits");
+            let (legacy_plan, legacy_chosen) =
+                reference::heuristic_solve(&rm, &activation, 0, &mut TimelinePool::new())
+                    .expect("reference admits");
+            assert_eq!(chosen, legacy_chosen, "{label}");
+            assert_eq!(plan.placements, legacy_plan.placements, "{label}");
+            assert_eq!(plan.objective, legacy_plan.objective, "{label}");
+            assert_eq!(plan.nodes, legacy_plan.nodes, "{label}");
+            let resources: Vec<_> = chosen.iter().map(|c| c.resource).collect();
+            assert_eq!(resources, vec![ids[1], ids[0], ids[2]], "{label}");
+        }
     }
 
     /// The pruned decide and the reference decide agree on a multi-phantom

@@ -69,7 +69,7 @@ mod view;
 pub use activation::{
     Activation, Assignment, Decision, PlanBuilder, ResourceManager, TimelinePool,
 };
-pub use cost::{candidates, candidates_into, min_energy, Candidate};
+pub use cost::{candidates, candidates_into, candidates_on, min_energy, Candidate};
 pub use driver::{
     decide_with_fallback, decide_with_fallback_tracked, gate_horizon, Attempt, HorizonPolicy, Plan,
 };

@@ -18,7 +18,9 @@
 //! * **sorted once** — owned rows are stable-sorted by `(energy, resource)`
 //!   at build time; per-rung deadline filters and per-iteration capacity
 //!   filters commute with a stable sort, so filtering *while scanning the
-//!   pre-sorted row* reproduces the legacy scan order exactly;
+//!   pre-sorted row* reproduces the legacy scan order exactly. With an
+//!   index installed, a placed job's row is emitted by walking its type's
+//!   index row, so the sort runs on nearly sorted input;
 //! * **partitioned desirability scans** — the heuristic's desirability order
 //!   (energy plus a penalty `M` for deadline-infeasible placements) is the
 //!   stable partition `[unpenalized | penalized]` of the `(energy,
@@ -41,7 +43,7 @@
 use rtrm_platform::{PlatformIndex, TaskTypeId, Time, DEFAULT_SHORTLIST};
 
 use crate::activation::Activation;
-use crate::cost::{candidates_into, Candidate};
+use crate::cost::{candidates_into, ranked_candidates_into, Candidate};
 use crate::view::JobView;
 
 /// Counters describing how the pruned decide path behaved, cumulative over
@@ -57,7 +59,9 @@ pub struct PruneStats {
     /// (placed jobs, or no index installed).
     pub owned_rows: u64,
     /// Ranked scans that widened past the shortlist prefix because every
-    /// shortlisted placement was capacity- or deadline-infeasible.
+    /// shortlisted placement was capacity- or deadline-infeasible. The
+    /// heuristic reruns a job's regret scan only when a cached hit loses
+    /// capacity, so this counts scans actually run, not regret reads.
     pub widened: u64,
 }
 
@@ -106,7 +110,9 @@ impl CandidateTable {
     /// [`ExactRm`](crate::ExactRm). Index-backed rows (pre-sorted in the
     /// same order) are used for fresh jobs; placed jobs always materialize
     /// through the cost model, which is the only place migration and abort
-    /// costs exist.
+    /// costs exist — in the index row's ranked order when the index matches
+    /// the activation's world, in platform order otherwise. Both orders
+    /// sort to the same row (see `DESIGN.md` §8).
     pub fn rebuild(
         &mut self,
         activation: &Activation<'_>,
@@ -121,36 +127,47 @@ impl CandidateTable {
         self.shortlist = index.map_or(DEFAULT_SHORTLIST, PlatformIndex::shortlist_len);
         self.stats.rebuilds += 1;
 
+        let index = index.filter(|ix| ix.matches(activation.platform, activation.catalog));
         let mut running_max = 0.0f64;
         for job in &self.jobs {
-            let indexed = job.placement.is_none()
-                && index.is_some_and(|ix| ix.matches(activation.platform, activation.catalog));
-            let row_max = if indexed {
-                self.rows.push(RowKind::Indexed { ty: job.task_type });
-                self.stats.indexed_rows += 1;
-                // Index rows are energy-ascending: the maximum is the tail.
-                index
-                    .expect("indexed implies index")
-                    .row(job.task_type)
-                    .last()
-                    .map_or(0.0, |p| p.energy.value())
-            } else {
-                let start = self.arena.len();
-                candidates_into(
-                    job,
-                    activation.platform,
-                    activation.catalog,
-                    gpu_restart_in_place,
-                    &mut self.arena,
-                );
-                let row = &mut self.arena[start..];
-                // Stable over emission order: exactly the comparator the
-                // legacy per-rung lists were sorted with.
-                row.sort_by(|a, b| a.energy.cmp(&b.energy).then(a.resource.cmp(&b.resource)));
-                let len = row.len();
-                self.rows.push(RowKind::Owned { start, len });
-                self.stats.owned_rows += 1;
-                row.iter().map(|c| c.energy.value()).fold(0.0, f64::max)
+            let row_max = match index {
+                Some(ix) if job.placement.is_none() => {
+                    self.rows.push(RowKind::Indexed { ty: job.task_type });
+                    self.stats.indexed_rows += 1;
+                    // Index rows are energy-ascending: the maximum is the tail.
+                    ix.row(job.task_type)
+                        .last()
+                        .map_or(0.0, |p| p.energy.value())
+                }
+                _ => {
+                    let start = self.arena.len();
+                    match index {
+                        Some(ix) => ranked_candidates_into(
+                            job,
+                            activation.platform,
+                            activation.catalog,
+                            ix.row(job.task_type),
+                            gpu_restart_in_place,
+                            &mut self.arena,
+                        ),
+                        None => candidates_into(
+                            job,
+                            activation.platform,
+                            activation.catalog,
+                            gpu_restart_in_place,
+                            &mut self.arena,
+                        ),
+                    }
+                    let row = &mut self.arena[start..];
+                    // Stable over emission order: exactly the comparator the
+                    // legacy per-rung lists were sorted with. Ranked emission
+                    // is nearly sorted already, so this pass is about linear.
+                    row.sort_by(|a, b| a.energy.cmp(&b.energy).then(a.resource.cmp(&b.resource)));
+                    let len = row.len();
+                    self.rows.push(RowKind::Owned { start, len });
+                    self.stats.owned_rows += 1;
+                    row.iter().map(|c| c.energy.value()).fold(0.0, f64::max)
+                }
             };
             running_max = running_max.max(row_max);
             self.prefix_max.push(running_max);

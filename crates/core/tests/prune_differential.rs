@@ -10,13 +10,22 @@
 //! without an installed index. Node counts are part of the bar on purpose:
 //! the exact manager's count moves if its heuristic warm seed does.
 //!
+//! Active jobs cover every placement kind the cost model distinguishes:
+//! fresh, admitted but not started (with relocation debt), started on a CPU
+//! and started on a GPU, each at a speed from its resource's ladder. Some
+//! catalogs carry per-pair migration overheads, so a placed job's ranked
+//! emission (walking the index row) is not already sorted. A deep-queue
+//! suite puts up to 24 active jobs on at most 12 resources, where
+//! capacities bind and the heuristic's cached regret hits go stale; the
+//! heuristic's no-regret ablation is checked alongside.
+//!
 //! [`CandidateTable`]: rtrm_core::CandidateTable
 //! [`PlatformIndex`]: rtrm_platform::PlatformIndex
 //! [`Decision`]: rtrm_core::Decision
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use rtrm_core::{
     reference, Activation, Decision, ExactRm, HeuristicRm, JobView, Placement, ResourceManager,
@@ -26,18 +35,59 @@ use rtrm_platform::{Energy, Platform, TaskCatalog, TaskType, TaskTypeId, Time};
 use rtrm_sched::JobKey;
 use rtrm_trace::{generate_catalog, CatalogConfig};
 
+/// One active job of a scenario.
+#[derive(Debug, Clone)]
+struct ActiveSpec {
+    ty: usize,
+    /// Placement resource index (modulo the platform size), or fresh.
+    place: Option<usize>,
+    /// Started with `frac` of its work left, or admitted but not started
+    /// with relocation debt `debt` (remaining fraction ≥ 1).
+    started: bool,
+    frac: f64,
+    debt: f64,
+    /// Index into the placement resource's speed ladder (modulo its length).
+    speed: usize,
+    slack: f64,
+}
+
 /// A compact recipe for one random activation on a sized platform.
 #[derive(Debug, Clone)]
 struct Scenario {
     resources: usize,
     with_gpu: bool,
     seed: u64,
-    /// (type index, placement resource index or none, remaining fraction,
-    /// deadline slack multiplier)
-    active: Vec<(usize, Option<usize>, f64, f64)>,
+    /// Replace each type's uniform migration overhead by per-pair overheads
+    /// (platforms up to 32 resources), so a placed job's costs are no
+    /// longer monotone in the fresh energy order.
+    pairwise_migration: bool,
+    active: Vec<ActiveSpec>,
     arriving_type: usize,
     arriving_slack: f64,
     predicted: Option<(usize, f64, f64)>,
+}
+
+fn active_spec() -> impl Strategy<Value = ActiveSpec> {
+    (
+        0usize..6,
+        prop::option::of(0usize..16),
+        any::<bool>(),
+        0.05f64..1.0,
+        1.0f64..1.6,
+        0usize..4,
+        1.2f64..4.0,
+    )
+        .prop_map(
+            |(ty, place, started, frac, debt, speed, slack)| ActiveSpec {
+                ty,
+                place,
+                started,
+                frac,
+                debt,
+                speed,
+                slack,
+            },
+        )
 }
 
 fn scenario(max_resources: usize, max_active: usize) -> impl Strategy<Value = Scenario> {
@@ -61,25 +111,28 @@ fn scenario(max_resources: usize, max_active: usize) -> impl Strategy<Value = Sc
         sizes,
         any::<bool>(),
         any::<u64>(),
-        prop::collection::vec(
-            (
-                0usize..6,
-                prop::option::of(0usize..8),
-                0.05f64..1.0,
-                1.2f64..4.0,
-            ),
-            0..max_active,
-        ),
+        any::<bool>(),
+        prop::collection::vec(active_spec(), 0..max_active),
         0usize..6,
         1.2f64..4.0,
         prop::option::of((0usize..6, 0.1f64..30.0, 1.2f64..4.0)),
     )
         .prop_map(
-            |(resources, with_gpu, seed, active, arriving_type, arriving_slack, predicted)| {
+            |(
+                resources,
+                with_gpu,
+                seed,
+                pairwise_migration,
+                active,
+                arriving_type,
+                arriving_slack,
+                predicted,
+            )| {
                 Scenario {
                     resources,
                     with_gpu,
                     seed,
+                    pairwise_migration,
                     active,
                     arriving_type,
                     arriving_slack,
@@ -89,9 +142,41 @@ fn scenario(max_resources: usize, max_active: usize) -> impl Strategy<Value = Sc
         )
 }
 
+/// `catalog` with every type's uniform migration overhead scaled by an
+/// independent random factor in `[0, 3)` per ordered resource pair.
+fn with_pairwise_migration(
+    platform: &Platform,
+    catalog: &TaskCatalog,
+    rng: &mut StdRng,
+) -> TaskCatalog {
+    let ids: Vec<_> = platform.ids().collect();
+    let types = catalog
+        .iter()
+        .enumerate()
+        .map(|(i, ty)| {
+            let mut b = TaskType::builder(i, platform);
+            for &r in &ids {
+                if let Some(p) = ty.profile(r) {
+                    b.profile(r, p.wcet, p.energy);
+                }
+            }
+            for &from in &ids {
+                for &to in ids.iter().filter(|&&to| to != from) {
+                    let m = ty.migration(from, to);
+                    let (ft, fe): (f64, f64) = (rng.gen_range(0.0..3.0), rng.gen_range(0.0..3.0));
+                    b.migration(from, to, m.time * ft, m.energy * fe);
+                }
+            }
+            b.build()
+        })
+        .collect();
+    TaskCatalog::new(types)
+}
+
 /// Materializes a scenario: a platform whose CPUs cycle through plain and
 /// two different DVFS ladders (so index rows mix speed levels), a random
-/// catalog, and the activation's jobs.
+/// catalog, and the activation's jobs. Placed jobs run at a level of their
+/// resource's ladder; at most one started job sits on each GPU.
 fn build(
     s: &Scenario,
 ) -> (
@@ -123,32 +208,33 @@ fn build(
         cpu_energy_std: 1.5,
         ..CatalogConfig::paper()
     };
-    let catalog = generate_catalog(&platform, &cfg, &mut rng);
+    let mut catalog = generate_catalog(&platform, &cfg, &mut rng);
+    if s.pairwise_migration && platform.len() <= 32 {
+        catalog = with_pairwise_migration(&platform, &catalog, &mut rng);
+    }
 
     let now = Time::new(100.0);
     let mut gpu_started_taken = vec![false; platform.len()];
     let mut active = Vec::new();
-    for (i, &(ty, place, frac, slack)) in s.active.iter().enumerate() {
-        let ty = TaskTypeId::new(ty % catalog.len());
-        let deadline = now + catalog.task_type(ty).mean_wcet() * slack;
+    for (i, a) in s.active.iter().enumerate() {
+        let ty = TaskTypeId::new(a.ty % catalog.len());
+        let deadline = now + catalog.task_type(ty).mean_wcet() * a.slack;
         let mut job = JobView::fresh(JobKey(i as u64), ty, now, deadline);
-        if let Some(r) = place {
+        if let Some(r) = a.place {
             let r = rtrm_platform::ResourceId::new(r % platform.len());
             if catalog.task_type(ty).is_executable_on(r) {
-                let non_preemptable = !platform.resource(r).kind().is_preemptable();
-                let mut started = true;
-                if non_preemptable {
-                    if gpu_started_taken[r.index()] {
-                        started = false;
-                    } else {
-                        gpu_started_taken[r.index()] = true;
-                    }
+                let resource = platform.resource(r);
+                let mut started = a.started;
+                if started && !resource.kind().is_preemptable() {
+                    started = !gpu_started_taken[r.index()];
+                    gpu_started_taken[r.index()] = true;
                 }
+                let levels = resource.speed_levels();
                 job.placement = Some(Placement {
                     resource: r,
-                    remaining_fraction: if started { frac } else { 1.0 },
+                    remaining_fraction: if started { a.frac } else { a.debt },
                     started,
-                    speed: 1.0,
+                    speed: levels[a.speed % levels.len()],
                 });
             }
         }
@@ -194,6 +280,34 @@ fn decide_three_ways<M: ResourceManager>(
     (legacy, plain, indexed, borrowed)
 }
 
+/// Checks the heuristic and its no-regret ablation against the reference
+/// path, with and without an installed index.
+fn heuristics_match_reference(s: &Scenario) -> Result<(), TestCaseError> {
+    let (platform, catalog, active, arriving, predicted) = build(s);
+    let phantoms: Vec<_> = predicted.into_iter().collect();
+    let activation = Activation {
+        now: Time::new(100.0),
+        platform: &platform,
+        catalog: &catalog,
+        active: &active,
+        arriving,
+        predicted: &phantoms,
+    };
+    for rm in [HeuristicRm::new(), HeuristicRm::without_regret_ordering()] {
+        let (legacy, plain, indexed, borrowed) =
+            decide_three_ways(&activation, &mut rm.clone(), |act, pool| {
+                reference::heuristic_decide(&rm, act, pool)
+            });
+        let name = rm.name();
+        prop_assert_eq!(&plain, &legacy, "{} pruned (no index) diverged", name);
+        prop_assert_eq!(&indexed, &legacy, "{} pruned (indexed) diverged", name);
+        // The arriving job is always fresh, so the indexed pool must have
+        // actually exercised the borrowed-row path.
+        prop_assert!(borrowed, "indexed pool never borrowed an index row");
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -202,25 +316,14 @@ proptest! {
     /// up to 512 resources.
     #[test]
     fn heuristic_pruned_matches_reference(s in scenario(512, 6)) {
-        let (platform, catalog, active, arriving, predicted) = build(&s);
-        let phantoms: Vec<_> = predicted.into_iter().collect();
-        let activation = Activation {
-            now: Time::new(100.0),
-            platform: &platform,
-            catalog: &catalog,
-            active: &active,
-            arriving,
-            predicted: &phantoms,
-        };
-        let (legacy, plain, indexed, borrowed) =
-            decide_three_ways(&activation, &mut HeuristicRm::new(), |act, pool| {
-                reference::heuristic_decide(&HeuristicRm::new(), act, pool)
-            });
-        prop_assert_eq!(&plain, &legacy, "pruned (no index) diverged");
-        prop_assert_eq!(&indexed, &legacy, "pruned (indexed) diverged");
-        // The arriving job is always fresh, so the indexed pool must have
-        // actually exercised the borrowed-row path.
-        prop_assert!(borrowed, "indexed pool never borrowed an index row");
+        heuristics_match_reference(&s)?;
+    }
+
+    /// Deep queues on small platforms: up to 24 active jobs on at most 12
+    /// resources, so capacities bind and cached regret hits go stale.
+    #[test]
+    fn heuristic_pruned_matches_reference_on_deep_queues(s in scenario(12, 25)) {
+        heuristics_match_reference(&s)?;
     }
 
     /// The exact manager's pruned path — rows, warm seed, and floor —

@@ -31,9 +31,21 @@ use crate::{Prediction, Predictor};
 /// ```
 #[derive(Debug, Clone)]
 pub struct MarkovTypePredictor {
-    counts: Vec<Vec<u64>>,
+    /// `successors[from]`: every type observed right after `from`, with its
+    /// (positive) count, in first-seen order. Sparse, because a stream
+    /// visits few of the `types²` transitions: a dense matrix for the
+    /// paper's 100-type catalog costs 80 KB per predictor.
+    successors: Vec<Vec<(TaskTypeId, u64)>>,
     totals: Vec<u64>,
     last: Option<TaskTypeId>,
+}
+
+/// The most frequent entry of a successor list (ties: lowest type id) with
+/// its count.
+fn mode(row: &[(TaskTypeId, u64)]) -> Option<(TaskTypeId, u64)> {
+    row.iter()
+        .copied()
+        .max_by_key(|&(ty, c)| (c, std::cmp::Reverse(ty.index())))
 }
 
 impl MarkovTypePredictor {
@@ -46,7 +58,7 @@ impl MarkovTypePredictor {
     pub fn new(num_types: usize) -> Self {
         assert!(num_types > 0, "catalog must contain at least one type");
         MarkovTypePredictor {
-            counts: vec![vec![0; num_types]; num_types],
+            successors: vec![Vec::new(); num_types],
             totals: vec![0; num_types],
             last: None,
         }
@@ -56,7 +68,11 @@ impl MarkovTypePredictor {
     pub fn observe_type_transition_from_request(&mut self, request: &Request) {
         let ty = request.task_type;
         if let Some(prev) = self.last {
-            self.counts[prev.index()][ty.index()] += 1;
+            let row = &mut self.successors[prev.index()];
+            match row.iter_mut().find(|(to, _)| *to == ty) {
+                Some((_, count)) => *count += 1,
+                None => row.push((ty, 1)),
+            }
         }
         self.totals[ty.index()] += 1;
         self.last = Some(ty);
@@ -67,13 +83,7 @@ impl MarkovTypePredictor {
     #[must_use]
     pub fn predict_type(&self) -> Option<TaskTypeId> {
         let last = self.last?;
-        let row = &self.counts[last.index()];
-        let best_row = row
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, c)| (*c, std::cmp::Reverse(i)))
-            .filter(|&(_, c)| *c > 0)
-            .map(|(i, _)| TaskTypeId::new(i));
+        let best_row = mode(&self.successors[last.index()]).map(|(ty, _)| ty);
         best_row.or_else(|| {
             self.totals
                 .iter()
@@ -86,8 +96,8 @@ impl MarkovTypePredictor {
 
     /// Clears all learned transitions.
     pub fn clear(&mut self) {
-        for row in &mut self.counts {
-            row.fill(0);
+        for row in &mut self.successors {
+            row.clear();
         }
         self.totals.fill(0);
         self.last = None;
@@ -112,12 +122,13 @@ impl MarkovTypePredictor {
     /// horizon predictors iterate — they never re-estimate the chain.
     #[must_use]
     pub fn transition_probability(&self, from: TaskTypeId, to: TaskTypeId) -> f64 {
-        let row = &self.counts[from.index()];
-        let total: u64 = row.iter().sum();
+        let row = &self.successors[from.index()];
+        let total: u64 = row.iter().map(|&(_, c)| c).sum();
         if total == 0 {
             return 0.0;
         }
-        row[to.index()] as f64 / total as f64
+        let count = row.iter().find(|&&(ty, _)| ty == to).map_or(0, |&(_, c)| c);
+        count as f64 / total as f64
     }
 
     /// The most likely successor of `from` with its transition probability,
@@ -127,13 +138,9 @@ impl MarkovTypePredictor {
     /// [`predict_type`]: MarkovTypePredictor::predict_type
     #[must_use]
     pub fn most_likely_successor(&self, from: TaskTypeId) -> Option<(TaskTypeId, f64)> {
-        let row = &self.counts[from.index()];
-        let total: u64 = row.iter().sum();
-        row.iter()
-            .enumerate()
-            .max_by_key(|&(i, c)| (*c, std::cmp::Reverse(i)))
-            .filter(|&(_, c)| *c > 0)
-            .map(|(i, c)| (TaskTypeId::new(i), *c as f64 / total as f64))
+        let row = &self.successors[from.index()];
+        let total: u64 = row.iter().map(|&(_, c)| c).sum();
+        mode(row).map(|(ty, c)| (ty, c as f64 / total as f64))
     }
 
     /// The globally most frequent type with its share of all observations,
@@ -291,6 +298,27 @@ mod tests {
         // Only one observation: no transition from type 3 recorded.
         p.observe_type_transition_from_request(&req(0, 0.0, 3));
         assert_eq!(p.predict_type(), Some(TaskTypeId::new(3)));
+    }
+
+    /// Successors are stored in first-seen order; ties still break to the
+    /// lowest type id, and probabilities count every successor.
+    #[test]
+    fn markov_successor_ties_break_to_lowest_id_regardless_of_order() {
+        let mut p = MarkovTypePredictor::new(4);
+        for (i, ty) in [0usize, 3, 0, 1, 0].iter().enumerate() {
+            p.observe_type_transition_from_request(&req(i, i as f64, *ty));
+        }
+        assert_eq!(p.predict_type(), Some(TaskTypeId::new(1)));
+        let from = TaskTypeId::new(0);
+        assert_eq!(
+            p.most_likely_successor(from),
+            Some((TaskTypeId::new(1), 0.5))
+        );
+        assert_eq!(p.transition_probability(from, TaskTypeId::new(3)), 0.5);
+        assert_eq!(p.transition_probability(from, TaskTypeId::new(2)), 0.0);
+        p.clear();
+        assert_eq!(p.predict_type(), None);
+        assert_eq!(p.transition_probability(from, TaskTypeId::new(3)), 0.0);
     }
 
     #[test]

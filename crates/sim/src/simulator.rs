@@ -3,8 +3,8 @@
 //! same EDF timeline engine the managers use for feasibility.
 
 use rtrm_core::{
-    gate_horizon, Activation, Assignment, Candidate, Decision, HorizonPolicy, JobView, Placement,
-    ResourceManager, TimelinePool,
+    candidates_on, gate_horizon, Activation, Assignment, Candidate, Decision, HorizonPolicy,
+    JobView, Placement, ResourceManager, TimelinePool,
 };
 use rtrm_platform::{Energy, Platform, Request, ResourceId, TaskCatalog, TaskTypeId, Time, Trace};
 use rtrm_predict::{OverheadModel, Prediction, Predictor};
@@ -726,6 +726,10 @@ impl<'a> Simulator<'a> {
 
     /// Applies an admitted decision: migrations (with energy lumps), GPU
     /// aborts (progress wasted), and admission of the arriving task.
+    ///
+    /// Assignments come in activation order — `views` order, which is
+    /// `live` order, then the arriving task — so each active job is found
+    /// by position; a key mismatch is a manager contract violation.
     fn apply(
         &self,
         live: &mut Vec<LiveJob>,
@@ -734,7 +738,7 @@ impl<'a> Simulator<'a> {
         assignments: &[Assignment],
         report: &mut SimReport,
     ) {
-        for a in assignments {
+        for (i, a) in assignments.iter().enumerate() {
             if self.config.record_task_log {
                 let idx = usize::try_from(a.key.0).unwrap_or(usize::MAX);
                 if let Some(record) = report.task_log.get_mut(idx) {
@@ -764,13 +768,11 @@ impl<'a> Simulator<'a> {
                 continue;
             }
             let view = views
-                .iter()
-                .find(|v| v.key == a.key)
-                .expect("assignment refers to an active job");
-            let job = live
-                .iter_mut()
-                .find(|j| j.key == a.key)
-                .expect("active job is live");
+                .get(i)
+                .filter(|v| v.key == a.key)
+                .expect("assignments follow activation order");
+            let job = &mut live[i];
+            assert_eq!(job.key, a.key, "live order matches activation order");
             let c = self.matching_candidate(view, a);
             if a.restart {
                 // GPU abort: progress and its energy are wasted (already
@@ -803,15 +805,15 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Finds the cost-model candidate matching an assignment.
+    /// Finds the cost-model candidate matching an assignment among the
+    /// candidates on the assignment's resource.
     fn matching_candidate(&self, view: &JobView, a: &Assignment) -> Candidate {
-        rtrm_core::candidates(view, self.platform, self.catalog, true)
-            .into_iter()
-            .find(|c| {
-                c.resource == a.resource
-                    && c.restart == a.restart
-                    && (c.speed - a.speed).abs() < 1e-12
-            })
-            .expect("assignment corresponds to a valid candidate")
+        let mut found = None;
+        candidates_on(view, self.platform, self.catalog, a.resource, true, |c| {
+            if found.is_none() && c.restart == a.restart && (c.speed - a.speed).abs() < 1e-12 {
+                found = Some(c);
+            }
+        });
+        found.expect("assignment corresponds to a valid candidate")
     }
 }
