@@ -38,6 +38,8 @@ cargo test -q -p rtrm-sim --test horizon_differential
 echo "==> service: sharded-vs-sequential differential + overload degradation + histogram merge"
 cargo test -q -p rtrm-service --test service_differential
 cargo test -q -p rtrm-service --test overload
+# A release-built worker drains fast enough for the producer to race it.
+cargo test --release -q -p rtrm-service --test overload
 cargo test -q -p rtrm-service --test histogram_merge
 
 echo "==> fault injection: anytime MILP ladder + batch quarantine + sweep persistence"

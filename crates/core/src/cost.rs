@@ -20,9 +20,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use rtrm_platform::{Energy, Platform, RankedPlacement, ResourceId, TaskCatalog, TaskType, Time};
+use rtrm_platform::{
+    Energy, MigrationOverhead, Platform, RankedPlacement, ResourceId, TaskCatalog, TaskType, Time,
+};
 
-use crate::view::JobView;
+use crate::view::{JobView, Placement};
 
 /// One way of placing a job on a resource, with its planning costs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -126,7 +128,9 @@ pub fn candidates_on(
 /// energy compare equal, and both emission orders list a resource's
 /// candidates stay-first, then by ascending speed (`DESIGN.md` §8). Because
 /// a destination's cost is monotone in the fresh energy, the ranked row is
-/// nearly sorted already, so the sort runs in about linear time.
+/// nearly sorted already, so the sort runs in about linear time. Rows short
+/// enough, or with per-pair migration, are built this way instead of being
+/// walked lazily (see [`CandidateTable`](crate::CandidateTable)).
 pub(crate) fn ranked_candidates_into(
     job: &JobView,
     platform: &Platform,
@@ -179,114 +183,139 @@ fn destination(
     // Effective profile at a DVFS level: time 1/s, dynamic energy s².
     let eff = |s: f64| (profile.wcet / s, profile.energy * (s * s));
 
-    match job.placement {
-        // Fresh (or admitted but never run): no state, free re-mapping;
-        // every speed level of every executable resource is open.
-        None => {
+    let Some(p) = job.placement else {
+        // Fresh: no state, free mapping; every speed level of every
+        // executable resource is open.
+        for &s in levels {
+            let (wcet, energy) = eff(s);
+            emit(Candidate {
+                resource,
+                exec: wcet,
+                energy,
+                pinned: false,
+                restart: false,
+                speed: s,
+            });
+        }
+        return;
+    };
+    if p.resource != resource {
+        let relocation = Relocation::new(&p, platform, ty.migration(p.resource, resource));
+        if relocation.admits(platform, resource) {
             for &s in levels {
                 let (wcet, energy) = eff(s);
-                emit(Candidate {
-                    resource,
-                    exec: wcet,
-                    energy,
-                    pinned: false,
-                    restart: false,
-                    speed: s,
-                });
+                emit(relocation.candidate(resource, s, wcet, energy));
             }
         }
-        // Admitted but never run: no execution state, but relocating it
-        // still pays the migration overhead (its inputs were staged on
-        // `p.resource`). Staying keeps any pending relocation debt,
-        // which `remaining_fraction` already reflects, and the speed
-        // chosen at placement; relocation re-opens the speed choice.
-        Some(p) if !p.started => {
-            if p.resource == resource {
-                let (wcet, energy) = eff(p.speed);
-                emit(Candidate {
-                    resource,
-                    exec: wcet * p.remaining_fraction,
-                    energy,
-                    pinned: false,
-                    restart: false,
-                    speed: p.speed,
-                });
-            } else {
-                let m = ty.migration(p.resource, resource);
-                for &s in levels {
-                    let (wcet, energy) = eff(s);
-                    emit(Candidate {
-                        resource,
-                        exec: wcet + m.time,
-                        energy: energy + m.energy,
-                        pinned: false,
-                        restart: false,
-                        speed: s,
-                    });
-                }
-            }
+        return;
+    }
+    // Stay: the remaining work at the placement's speed. An unstarted job
+    // keeps any pending relocation debt (which `remaining_fraction`
+    // already reflects) but still owes its full energy.
+    let (wcet, energy) = eff(p.speed);
+    if !p.started {
+        emit(Candidate {
+            resource,
+            exec: wcet * p.remaining_fraction,
+            energy,
+            pinned: false,
+            restart: false,
+            speed: p.speed,
+        });
+        return;
+    }
+    // Started: on a non-preemptable resource it is pinned (it must run to
+    // completion first) unless `gpu_restart_in_place` offers re-queueing.
+    let preemptable = platform.resource(resource).kind().is_preemptable();
+    emit(Candidate {
+        resource,
+        exec: wcet * p.remaining_fraction,
+        energy: energy * p.remaining_fraction,
+        pinned: !preemptable,
+        restart: false,
+        speed: p.speed,
+    });
+    if gpu_restart_in_place && !preemptable {
+        for &s in levels {
+            let (wcet, energy) = eff(s);
+            emit(Relocation::Restart.candidate(resource, s, wcet, energy));
         }
-        Some(p) => {
-            let from_kind = platform.resource(p.resource).kind();
-            if p.resource == resource {
-                // Stay where it is: remaining work at the running speed.
-                let (wcet, energy) = eff(p.speed);
-                emit(Candidate {
-                    resource,
-                    exec: wcet * p.remaining_fraction,
-                    energy: energy * p.remaining_fraction,
-                    pinned: !from_kind.is_preemptable(),
-                    restart: false,
-                    speed: p.speed,
-                });
-                if gpu_restart_in_place && !from_kind.is_preemptable() {
-                    for &s in levels {
-                        let (wcet, energy) = eff(s);
-                        emit(Candidate {
-                            resource,
-                            exec: wcet,
-                            energy,
-                            pinned: false,
-                            restart: true,
-                            speed: s,
-                        });
-                    }
-                }
-            } else if from_kind.is_preemptable() {
-                // A non-preemptable destination cannot resume
-                // checkpointed state: started tasks may only migrate
-                // between preemptable resources (DESIGN.md §5).
-                if !platform.resource(resource).kind().is_preemptable() {
-                    return;
-                }
-                // Proportional migration with overhead; the destination
-                // speed is a fresh choice.
-                let m = ty.migration(p.resource, resource);
-                for &s in levels {
-                    let (wcet, energy) = eff(s);
-                    emit(Candidate {
-                        resource,
-                        exec: wcet * p.remaining_fraction + m.time,
-                        energy: energy * p.remaining_fraction + m.energy,
-                        pinned: false,
-                        restart: false,
-                        speed: s,
-                    });
-                }
-            } else {
-                // Abort the GPU run, restart from scratch elsewhere.
-                for &s in levels {
-                    let (wcet, energy) = eff(s);
-                    emit(Candidate {
-                        resource,
-                        exec: wcet,
-                        energy,
-                        pinned: false,
-                        restart: true,
-                        speed: s,
-                    });
-                }
-            }
+    }
+}
+
+/// How a placed job's costs change when it leaves its current resource: a
+/// map from a destination's fresh cost `(wcet, energy)` at one speed level
+/// to the relocation candidate's.
+///
+/// Every arm is monotone non-decreasing in the fresh cost (at most one
+/// rounded multiply by a non-negative fraction, then one rounded add),
+/// which is what lets [`CandidateTable`](crate::CandidateTable) walk a
+/// placed job's row in its type's
+/// [`PlatformIndex`](rtrm_platform::PlatformIndex) order (`DESIGN.md` §8).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Relocation {
+    /// Admitted but never run: no execution state, but its inputs were
+    /// staged on the old resource, so it pays the full work plus the
+    /// migration overhead. The destination speed is a fresh choice.
+    Unstarted(MigrationOverhead),
+    /// Started on a preemptable resource: proportional migration with
+    /// overhead (paper Sec 4.1), onto preemptable destinations only — a
+    /// non-preemptable resource cannot resume checkpointed state
+    /// (`DESIGN.md` §5).
+    Migrate {
+        remaining_fraction: f64,
+        overhead: MigrationOverhead,
+    },
+    /// Started on a non-preemptable resource (GPU): abort the run and
+    /// restart from scratch, with no overhead (nothing is transferred).
+    Restart,
+}
+
+impl Relocation {
+    /// The relocation of a job placed at `p`, given the migration
+    /// `overhead` out of `p.resource`.
+    pub(crate) fn new(p: &Placement, platform: &Platform, overhead: MigrationOverhead) -> Self {
+        let from_preemptable = platform.resource(p.resource).kind().is_preemptable();
+        match (p.started, from_preemptable) {
+            (false, _) => Relocation::Unstarted(overhead),
+            (true, true) => Relocation::Migrate {
+                remaining_fraction: p.remaining_fraction,
+                overhead,
+            },
+            (true, false) => Relocation::Restart,
+        }
+    }
+
+    /// Whether the job may relocate to `resource` at all.
+    pub(crate) fn admits(self, platform: &Platform, resource: ResourceId) -> bool {
+        !matches!(self, Relocation::Migrate { .. })
+            || platform.resource(resource).kind().is_preemptable()
+    }
+
+    /// The candidate on `resource` at `speed`, whose fresh cost there is
+    /// `(wcet, energy)`.
+    pub(crate) fn candidate(
+        self,
+        resource: ResourceId,
+        speed: f64,
+        wcet: Time,
+        energy: Energy,
+    ) -> Candidate {
+        let (exec, energy, restart) = match self {
+            Relocation::Unstarted(m) => (wcet + m.time, energy + m.energy, false),
+            Relocation::Migrate {
+                remaining_fraction: f,
+                overhead: m,
+            } => (wcet * f + m.time, energy * f + m.energy, false),
+            Relocation::Restart => (wcet, energy, true),
+        };
+        Candidate {
+            resource,
+            exec,
+            energy,
+            pinned: false,
+            restart,
+            speed,
         }
     }
 }

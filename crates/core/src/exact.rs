@@ -117,11 +117,11 @@ impl ExactRm {
         index: Option<&PlatformIndex>,
     ) -> Vec<Vec<Candidate>> {
         let now = activation.now;
-        let (jobs, rows) = table.parts();
+        let (jobs, mut rows) = table.parts(activation.platform);
         (0..jobs.len())
             .map(|j| {
                 let tleft = jobs[j].time_left(now);
-                let mut cs = Vec::with_capacity(rows.row_len(j, index));
+                let mut cs = Vec::new();
                 rows.filtered_into(j, tleft, index, &mut cs);
                 cs
             })

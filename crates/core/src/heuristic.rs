@@ -74,7 +74,7 @@ impl HeuristicRm {
         let n_jobs = n_real + num_phantoms;
         let now = activation.now;
         let big_m = table.penalty_weight(n_jobs);
-        let (jobs_all, mut rows) = table.parts();
+        let (jobs_all, mut rows) = table.parts(activation.platform);
         let jobs = &jobs_all[..n_jobs];
 
         // K̄: every resource starts with the full window as capacity. The

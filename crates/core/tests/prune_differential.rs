@@ -12,12 +12,15 @@
 //!
 //! Active jobs cover every placement kind the cost model distinguishes:
 //! fresh, admitted but not started (with relocation debt), started on a CPU
-//! and started on a GPU, each at a speed from its resource's ladder. Some
-//! catalogs carry per-pair migration overheads, so a placed job's ranked
-//! emission (walking the index row) is not already sorted. A deep-queue
-//! suite puts up to 24 active jobs on at most 12 resources, where
-//! capacities bind and the heuristic's cached regret hits go stale; the
-//! heuristic's no-regret ablation is checked alongside.
+//! and started on a GPU, each at a speed from its resource's ladder. With
+//! uniform migration and index rows longer than the shortlist, the indexed
+//! pool walks placed jobs' rows lazily from the index; some catalogs carry
+//! per-pair migration overheads instead, which keeps those rows
+//! materialized. A walked-row suite forces the lazy path and checks through
+//! `PruneStats` that it ran. A deep-queue suite puts up to 24 active jobs
+//! on at most 12 resources, where capacities bind and the heuristic's
+//! cached regret hits go stale; the heuristic's no-regret ablation is
+//! checked alongside.
 //!
 //! [`CandidateTable`]: rtrm_core::CandidateTable
 //! [`PlatformIndex`]: rtrm_platform::PlatformIndex
@@ -28,8 +31,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rtrm_core::{
-    reference, Activation, Decision, ExactRm, HeuristicRm, JobView, Placement, ResourceManager,
-    TimelinePool,
+    reference, Activation, Decision, ExactRm, HeuristicRm, JobView, Placement, PruneStats,
+    ResourceManager, TimelinePool,
 };
 use rtrm_platform::{Energy, Platform, TaskCatalog, TaskType, TaskTypeId, Time};
 use rtrm_sched::JobKey;
@@ -59,7 +62,8 @@ struct Scenario {
     seed: u64,
     /// Replace each type's uniform migration overhead by per-pair overheads
     /// (platforms up to 32 resources), so a placed job's costs are no
-    /// longer monotone in the fresh energy order.
+    /// longer monotone in the fresh energy order and its row is
+    /// materialized.
     pairwise_migration: bool,
     active: Vec<ActiveSpec>,
     arriving_type: usize,
@@ -263,26 +267,25 @@ fn build(
 
 /// Decides `activation` three ways: the reference path, the production
 /// path on a plain pool, and the production path on an `ensure_index`'d
-/// pool. Returns the three decisions plus whether the indexed pool actually
-/// borrowed index rows.
+/// pool. Returns the three decisions plus the indexed pool's counters.
 fn decide_three_ways<M: ResourceManager>(
     activation: &Activation<'_>,
     manager: &mut M,
     reference: impl FnOnce(&Activation<'_>, &mut TimelinePool) -> Decision,
-) -> (Decision, Decision, Decision, bool) {
+) -> (Decision, Decision, Decision, PruneStats) {
     let legacy = reference(activation, &mut TimelinePool::new());
     let mut plain_pool = TimelinePool::new();
     let plain = manager.decide_with_pool(activation, &mut plain_pool);
     let mut indexed_pool = TimelinePool::new();
     indexed_pool.ensure_index(activation.platform, activation.catalog);
     let indexed = manager.decide_with_pool(activation, &mut indexed_pool);
-    let borrowed = indexed_pool.prune_stats().indexed_rows > 0;
-    (legacy, plain, indexed, borrowed)
+    (legacy, plain, indexed, indexed_pool.prune_stats())
 }
 
 /// Checks the heuristic and its no-regret ablation against the reference
-/// path, with and without an installed index.
-fn heuristics_match_reference(s: &Scenario) -> Result<(), TestCaseError> {
+/// path, with and without an installed index. Returns whether every
+/// indexed decide walked a placed job's row.
+fn heuristics_match_reference(s: &Scenario) -> Result<bool, TestCaseError> {
     let (platform, catalog, active, arriving, predicted) = build(s);
     let phantoms: Vec<_> = predicted.into_iter().collect();
     let activation = Activation {
@@ -293,8 +296,9 @@ fn heuristics_match_reference(s: &Scenario) -> Result<(), TestCaseError> {
         arriving,
         predicted: &phantoms,
     };
+    let mut walked = true;
     for rm in [HeuristicRm::new(), HeuristicRm::without_regret_ordering()] {
-        let (legacy, plain, indexed, borrowed) =
+        let (legacy, plain, indexed, stats) =
             decide_three_ways(&activation, &mut rm.clone(), |act, pool| {
                 reference::heuristic_decide(&rm, act, pool)
             });
@@ -303,9 +307,37 @@ fn heuristics_match_reference(s: &Scenario) -> Result<(), TestCaseError> {
         prop_assert_eq!(&indexed, &legacy, "{} pruned (indexed) diverged", name);
         // The arriving job is always fresh, so the indexed pool must have
         // actually exercised the borrowed-row path.
-        prop_assert!(borrowed, "indexed pool never borrowed an index row");
+        prop_assert!(
+            stats.indexed_rows > 0,
+            "indexed pool never borrowed an index row"
+        );
+        walked &= stats.walked_rows > 0;
     }
-    Ok(())
+    Ok(walked)
+}
+
+/// A scenario whose placed jobs' rows are walked from the index: uniform
+/// migration, at least six resources (so every index row has at least 14
+/// entries, more than the default shortlist of 8), and a first active job
+/// placed on a CPU (every generated type executes on every CPU).
+fn walk_scenario(max_resources: usize, max_active: usize) -> impl Strategy<Value = Scenario> {
+    (
+        scenario(max_resources, max_active),
+        active_spec(),
+        0usize..6,
+    )
+        .prop_map(|(mut s, first, cpu)| {
+            s.resources = s.resources.max(6);
+            s.pairwise_migration = false;
+            s.active.insert(
+                0,
+                ActiveSpec {
+                    place: Some(cpu),
+                    ..first
+                },
+            );
+            s
+        })
 }
 
 proptest! {
@@ -317,6 +349,16 @@ proptest! {
     #[test]
     fn heuristic_pruned_matches_reference(s in scenario(512, 6)) {
         heuristics_match_reference(&s)?;
+    }
+
+    /// Placed jobs' rows walked lazily from the index decide exactly like
+    /// the reference path, and the walk actually ran.
+    #[test]
+    fn heuristic_walked_rows_match_reference(s in walk_scenario(128, 8)) {
+        prop_assert!(
+            heuristics_match_reference(&s)?,
+            "no placed row was walked from the index"
+        );
     }
 
     /// Deep queues on small platforms: up to 24 active jobs on at most 12
@@ -331,23 +373,41 @@ proptest! {
     /// bound.
     #[test]
     fn exact_pruned_matches_reference(s in scenario(6, 4)) {
-        let (platform, catalog, active, arriving, predicted) = build(&s);
-        let phantoms: Vec<_> = predicted.into_iter().collect();
-        let activation = Activation {
-            now: Time::new(100.0),
-            platform: &platform,
-            catalog: &catalog,
-            active: &active,
-            arriving,
-            predicted: &phantoms,
-        };
-        let (legacy, plain, indexed, _) =
-            decide_three_ways(&activation, &mut ExactRm::new(), |act, pool| {
-                reference::exact_decide(&ExactRm::new(), act, pool)
-            });
-        prop_assert_eq!(&plain, &legacy, "pruned (no index) diverged");
-        prop_assert_eq!(&indexed, &legacy, "pruned (indexed) diverged");
+        exact_matches_reference(&s)?;
     }
+
+    /// The exact manager over walked rows (generated to their end before
+    /// the search) matches the reference path, and the walk actually ran.
+    #[test]
+    fn exact_walked_rows_match_reference(s in walk_scenario(6, 4)) {
+        prop_assert!(
+            exact_matches_reference(&s)?,
+            "no placed row was walked from the index"
+        );
+    }
+}
+
+/// Checks the exact manager against the reference path, with and without
+/// an installed index. Returns whether the indexed decide walked a placed
+/// job's row.
+fn exact_matches_reference(s: &Scenario) -> Result<bool, TestCaseError> {
+    let (platform, catalog, active, arriving, predicted) = build(s);
+    let phantoms: Vec<_> = predicted.into_iter().collect();
+    let activation = Activation {
+        now: Time::new(100.0),
+        platform: &platform,
+        catalog: &catalog,
+        active: &active,
+        arriving,
+        predicted: &phantoms,
+    };
+    let (legacy, plain, indexed, stats) =
+        decide_three_ways(&activation, &mut ExactRm::new(), |act, pool| {
+            reference::exact_decide(&ExactRm::new(), act, pool)
+        });
+    prop_assert_eq!(&plain, &legacy, "pruned (no index) diverged");
+    prop_assert_eq!(&indexed, &legacy, "pruned (indexed) diverged");
+    Ok(stats.walked_rows > 0)
 }
 
 /// Widen-on-infeasibility actually fires — and changes nothing. Ten CPUs

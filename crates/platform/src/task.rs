@@ -97,6 +97,10 @@ pub struct TaskType {
     profiles: Vec<Option<ExecutionProfile>>,
     /// `migration[from][to]`; the diagonal is zero.
     migration: Vec<Vec<MigrationOverhead>>,
+    /// `uniform_out[from]`: every move out of `from` costs the same,
+    /// recorded by the builder (see
+    /// [`uniform_migration_from`](TaskType::uniform_migration_from)).
+    uniform_out: Vec<bool>,
 }
 
 impl TaskType {
@@ -108,6 +112,7 @@ impl TaskType {
             n: platform.len(),
             profiles: vec![None; platform.len()],
             migration: vec![vec![MigrationOverhead::default(); platform.len()]; platform.len()],
+            uniform_out: vec![true; platform.len()],
         }
     }
 
@@ -146,6 +151,19 @@ impl TaskType {
     #[must_use]
     pub fn migration(&self, from: ResourceId, to: ResourceId) -> MigrationOverhead {
         self.migration[from.index()][to.index()]
+    }
+
+    /// The migration overhead out of `from` when it is the same for every
+    /// destination, as [`TaskTypeBuilder::uniform_migration`] sets it;
+    /// `None` once the builder set any pair out of `from` individually
+    /// (even to the same value). O(1): recorded at build time.
+    #[must_use]
+    pub fn uniform_migration_from(&self, from: ResourceId) -> Option<MigrationOverhead> {
+        let row = &self.migration[from.index()];
+        // Any off-diagonal entry of a uniform row is the overhead (a
+        // one-resource platform has none, and no destination either).
+        let other = usize::from(from.index() == 0);
+        self.uniform_out[from.index()].then(|| row.get(other).copied().unwrap_or_default())
     }
 
     /// Ids of the resources the type can execute on.
@@ -210,6 +228,7 @@ pub struct TaskTypeBuilder {
     n: usize,
     profiles: Vec<Option<ExecutionProfile>>,
     migration: Vec<Vec<MigrationOverhead>>,
+    uniform_out: Vec<bool>,
 }
 
 impl TaskTypeBuilder {
@@ -228,11 +247,15 @@ impl TaskTypeBuilder {
         energy: Energy,
     ) -> &mut Self {
         self.migration[from.index()][to.index()] = MigrationOverhead { time, energy };
+        if from != to {
+            self.uniform_out[from.index()] = false;
+        }
         self
     }
 
     /// Sets the same migration overhead for every off-diagonal pair.
     pub fn uniform_migration(&mut self, time: Time, energy: Energy) -> &mut Self {
+        self.uniform_out.fill(true);
         for from in 0..self.n {
             for to in 0..self.n {
                 if from != to {
@@ -259,6 +282,7 @@ impl TaskTypeBuilder {
             id: self.id,
             profiles: std::mem::take(&mut self.profiles),
             migration: std::mem::take(&mut self.migration),
+            uniform_out: std::mem::take(&mut self.uniform_out),
         }
     }
 }
@@ -347,10 +371,33 @@ mod tests {
         assert_eq!(t.energy(r(1)), None);
         assert_eq!(t.migration(r(0), r(2)).time, Time::new(0.5));
         assert_eq!(t.migration(r(2), r(0)).time, Time::ZERO);
+        assert_eq!(t.uniform_migration_from(r(0)), None, "one pair set");
+        assert_eq!(
+            t.uniform_migration_from(r(2)),
+            Some(MigrationOverhead::default())
+        );
         assert_eq!(
             t.executable_resources().collect::<Vec<_>>(),
             vec![r(0), r(2)]
         );
+    }
+
+    #[test]
+    fn uniform_migration_is_recorded_per_source() {
+        let p = platform();
+        let m = MigrationOverhead {
+            time: Time::new(1.0),
+            energy: Energy::new(0.5),
+        };
+        let t = TaskType::builder(0, &p)
+            .profile(r(0), Time::new(8.0), Energy::new(7.3))
+            .uniform_migration(m.time, m.energy)
+            .migration(r(1), r(1), Time::new(9.0), Energy::new(9.0))
+            .migration(r(2), r(0), m.time, m.energy)
+            .build();
+        assert_eq!(t.uniform_migration_from(r(0)), Some(m));
+        assert_eq!(t.uniform_migration_from(r(1)), Some(m), "diagonal ignored");
+        assert_eq!(t.uniform_migration_from(r(2)), None, "set per pair");
     }
 
     #[test]

@@ -331,6 +331,12 @@ where
                 scratch.prime(&simulator);
                 let mut sessions: HashMap<usize, TraceSlot> = HashMap::new();
                 loop {
+                    // Occupancy including the event about to be popped, read
+                    // before the pop: this worker alone moves the ring's
+                    // dequeue cursor, so the read cannot exceed capacity (a
+                    // read after the pop can, once the producer refills the
+                    // freed slot).
+                    let queued = ingress.len();
                     let Some(event) = ingress.try_pop() else {
                         if producer_done.load(Ordering::Acquire) && ingress.is_empty() {
                             break;
@@ -338,8 +344,8 @@ where
                         std::hint::spin_loop();
                         continue;
                     };
+                    max_backlog.fetch_max(queued.max(1), Ordering::Relaxed);
                     let backlog = ingress.len();
-                    max_backlog.fetch_max(backlog + 1, Ordering::Relaxed);
                     let slot = sessions.entry(event.trace).or_insert_with(|| {
                         let setup = make_predictor(event.trace);
                         let overhead = setup.as_ref().map_or(Time::ZERO, |s| s.overhead);
